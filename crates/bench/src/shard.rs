@@ -9,7 +9,8 @@
 //! * every topology's **merged state digest** fingerprint equals the
 //!   single process's `state_digest` fingerprint, and
 //! * the per-tick `shardsum` control-checksum stream is identical
-//!   across shard counts (folded into one fnv64 per run).
+//!   across shard counts (folded into one fnv64 per run), and so is
+//!   the per-tick `shardstate` global state-checksum stream.
 //!
 //! The report follows the same layout contract as the core scenario —
 //! deterministic fields first, one trailing `"timing"` object — but is
@@ -107,6 +108,7 @@ pub fn run_shard(label: &str, seed: u64, quick: bool) -> Result<ShardBenchReport
     let single_state_fnv64 = fnv64(single.state_digest().as_bytes());
 
     let mut runs = Vec::with_capacity(SHARD_COUNTS.len());
+    let mut state_stream: Option<Vec<String>> = None;
     for &shards in &SHARD_COUNTS {
         let services: Vec<Arc<Service>> = (0..shards)
             .map(|_| {
@@ -142,6 +144,17 @@ pub fn run_shard(label: &str, seed: u64, quick: bool) -> Result<ShardBenchReport
             sealed_ticks += 1;
         }
         let control_stream_fnv64 = fnv64(stream.as_bytes());
+        let states: Vec<String> = log
+            .iter()
+            .filter(|l| l.starts_with("shardstate "))
+            .cloned()
+            .collect();
+        if *state_stream.get_or_insert_with(|| states.clone()) != states {
+            return Err(format!(
+                "global state-checksum stream differs between {} and {shards} shards",
+                SHARD_COUNTS[0]
+            ));
+        }
         for result in topo.shutdown() {
             result.map_err(|e| format!("{shards}-shard worker failed: {e}"))?;
         }

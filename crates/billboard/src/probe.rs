@@ -117,13 +117,23 @@ impl ProbeEngine {
     /// Objects player `p` has already paid for, ascending — the probe
     /// memo's key set. Serving-layer crash recovery persists this and
     /// re-probes on restore (values re-derive from the truth matrix).
+    /// Walks the memo a word at a time and skips zero words, so a call
+    /// costs O(m/64 + |memo|).
     ///
     /// # Panics
     /// Panics if `p` is out of range.
     pub fn probed_objects(&self, p: PlayerId) -> Vec<ObjectId> {
         assert!(p < self.n(), "player {p} out of range {}", self.n());
         let cache = self.caches[p].lock();
-        (0..self.m()).filter(|&j| cache.probed.get(j)).collect()
+        let mut out = Vec::new();
+        for (wi, &word) in cache.probed.words().iter().enumerate() {
+            let mut w = word;
+            while w != 0 {
+                out.push(wi * 64 + w.trailing_zeros() as usize);
+                w &= w - 1;
+            }
+        }
+        out
     }
 
     /// Total probes charged across all players.
@@ -391,6 +401,21 @@ mod tests {
         assert_eq!(h.cost(), 1);
         assert!(h.already_probed(7));
         assert!(!h.already_probed(8));
+    }
+
+    #[test]
+    fn probed_objects_lists_the_memo_ascending() {
+        // m = 200 spans four words, the last one partial; probe across
+        // word boundaries, out of order, with a re-probe.
+        let eng = engine(2, 200, 5);
+        let h = eng.player(1);
+        for j in [199, 0, 64, 63, 130, 64, 127, 128] {
+            h.probe(j);
+        }
+        let naive: Vec<usize> = (0..200).filter(|&j| h.already_probed(j)).collect();
+        assert_eq!(eng.probed_objects(1), naive);
+        assert_eq!(naive, vec![0, 63, 64, 127, 128, 130, 199]);
+        assert!(eng.probed_objects(0).is_empty());
     }
 
     #[test]

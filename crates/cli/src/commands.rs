@@ -1486,7 +1486,7 @@ mod tests {
             );
             let stream: Vec<&str> = sharded
                 .lines()
-                .filter(|l| l.starts_with("shardsum "))
+                .filter(|l| l.starts_with("shardsum ") || l.starts_with("shardstate "))
                 .collect();
             assert!(
                 !stream.is_empty(),
@@ -1496,7 +1496,7 @@ mod tests {
         }
         assert_eq!(
             shardsum_streams[0], shardsum_streams[1],
-            "control checksums must not depend on the shard count"
+            "replicated and global state checksums must not depend on the shard count"
         );
     }
 

@@ -125,11 +125,12 @@ fn wrong_schema_baseline_exits_three() {
     let base = run_bench(&dir, &["--label", "base"]);
     assert_eq!(base.status.code(), Some(0), "stderr: {}", stderr_of(&base));
     let json = std::fs::read_to_string(dir.join("BENCH_base.json")).expect("baseline");
-    std::fs::write(
-        dir.join("old.json"),
-        json.replacen("\"schema\": 1", "\"schema\": 999", 1),
-    )
-    .expect("write doctored baseline");
+    // Built from the live constant, so a schema bump cannot silently
+    // turn the rewrite into a no-op (and the test into a pass-through).
+    let current = format!("\"schema\": {}", tmwia_bench::perf::SCHEMA);
+    let doctored = json.replacen(&current, "\"schema\": 999", 1);
+    assert_ne!(doctored, json, "baseline has no {current} field to rewrite");
+    std::fs::write(dir.join("old.json"), doctored).expect("write doctored baseline");
     let out = run_bench(&dir, &["--label", "x", "--compare", "old.json"]);
     assert_eq!(out.status.code(), Some(3), "stderr: {}", stderr_of(&out));
     assert!(

@@ -39,8 +39,7 @@ pub use metrics::{
 };
 
 /// FNV-1a over a byte slice — the workspace's standard cheap digest
-/// (same algorithm as `tmwia_service::wal::fnv64`; duplicated here so
-/// the zero-dep crate can fingerprint its own name space).
+/// (re-exported as `tmwia_service::wal::fnv64`).
 pub fn fnv64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {

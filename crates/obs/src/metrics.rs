@@ -313,10 +313,13 @@ impl MetricSnapshot {
         self.values[id as usize]
     }
 
-    /// Fold another snapshot in, per-metric `Sum` or `Max`. Both modes
-    /// are associative and commutative and `zero()` is the identity,
-    /// so relay aggregation is order- and grouping-independent
-    /// (pinned by proptests).
+    /// Fold in a snapshot of a *disjoint* source (another shard, the
+    /// relay), per-metric `Sum` or `Max`. Both modes are associative
+    /// and commutative and `zero()` is the identity, so relay
+    /// aggregation is order- and grouping-independent (pinned by
+    /// proptests). Two snapshots of one source taken at different
+    /// instants are not disjoint: combine those with
+    /// [`MetricSnapshot::join`].
     pub fn merge(&mut self, other: &MetricSnapshot) {
         for (i, d) in METRICS.iter().enumerate() {
             self.values[i] = match d.merge {
@@ -330,6 +333,32 @@ impl MetricSnapshot {
     pub fn merged(mut self, other: &MetricSnapshot) -> Self {
         self.merge(other);
         self
+    }
+
+    /// Fold in another snapshot of the *same* source taken at a
+    /// different instant: the pointwise maximum, whatever the metric's
+    /// [`Merge`] mode. Every metric only grows over time (`inc`/`add`
+    /// count up, `set_max` is monotone), so the snapshots of one
+    /// registry form a chain under [`MetricSnapshot::is_dominated_by`]
+    /// and joining any of them into a later one returns the later one.
+    /// This is what a poller combining successive `tmwia stats`
+    /// answers needs.
+    pub fn join(&mut self, other: &MetricSnapshot) {
+        for (v, &o) in self.values.iter_mut().zip(&other.values) {
+            *v = (*v).max(o);
+        }
+    }
+
+    /// `join` as an owning fold step.
+    pub fn joined(mut self, other: &MetricSnapshot) -> Self {
+        self.join(other);
+        self
+    }
+
+    /// Is every value at most the corresponding value of `later`? The
+    /// order [`MetricSnapshot::join`] is the least upper bound of.
+    pub fn is_dominated_by(&self, later: &MetricSnapshot) -> bool {
+        self.values.iter().zip(&later.values).all(|(a, b)| a <= b)
     }
 }
 

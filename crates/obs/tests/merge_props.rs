@@ -47,6 +47,64 @@ proptest! {
     }
 }
 
+// The over-time law: `join` is the least upper bound of the dominance
+// order, whatever each metric's `Merge` mode.
+proptest! {
+    #[test]
+    fn join_is_commutative_associative_and_idempotent(
+        a in arb_snapshot(),
+        b in arb_snapshot(),
+        c in arb_snapshot(),
+    ) {
+        prop_assert_eq!(a.clone().joined(&b), b.clone().joined(&a));
+        prop_assert_eq!(
+            a.clone().joined(&b).joined(&c),
+            a.clone().joined(&b.clone().joined(&c))
+        );
+        prop_assert_eq!(a.clone().joined(&a), a.clone());
+        prop_assert_eq!(a.clone().joined(&MetricSnapshot::zero()), a);
+    }
+
+    #[test]
+    fn join_is_the_least_upper_bound(a in arb_snapshot(), b in arb_snapshot()) {
+        let j = a.clone().joined(&b);
+        prop_assert!(a.is_dominated_by(&j));
+        prop_assert!(b.is_dominated_by(&j));
+        for i in 0..METRICS.len() {
+            prop_assert_eq!(j.values()[i], a.values()[i].max(b.values()[i]));
+        }
+    }
+
+    #[test]
+    fn joining_an_earlier_snapshot_is_the_identity(
+        a in arb_snapshot(),
+        grow in arb_snapshot(),
+    ) {
+        // `later` grows from `a` the way a registry does over time.
+        let later = MetricSnapshot::from_values(
+            a.values().iter().zip(grow.values()).map(|(x, g)| x + g).collect(),
+        )
+        .expect("exact length");
+        prop_assert!(a.is_dominated_by(&later));
+        prop_assert_eq!(later.clone().joined(&a), later.clone());
+        prop_assert_eq!(a.joined(&later.clone()), later);
+    }
+}
+
+#[test]
+fn sum_merge_of_one_source_over_time_is_not_the_identity() {
+    // Why the two laws must stay separate: Sum-merging an earlier
+    // snapshot of the same registry double-counts it.
+    let reg = tmwia_obs::Registry::new();
+    reg.add(tmwia_obs::MetricId::ProbesPaid, 3);
+    let earlier = reg.snapshot();
+    reg.add(tmwia_obs::MetricId::ProbesPaid, 2);
+    let later = reg.snapshot();
+    assert!(earlier.is_dominated_by(&later));
+    assert_eq!(later.clone().joined(&earlier), later);
+    assert_ne!(later.clone().merged(&earlier), later);
+}
+
 #[test]
 fn sum_saturates_instead_of_wrapping() {
     let mut big = MetricSnapshot::from_values(vec![u64::MAX - 1; METRICS.len()]).unwrap();

@@ -60,8 +60,11 @@ fn render_is_byte_identical_across_thread_counts() {
 #[test]
 fn snapshots_taken_mid_hammer_merge_to_the_final_state() {
     // A monitor thread snapshotting concurrently must never observe a
-    // value that a later snapshot loses: merging every interim
-    // snapshot into the final one is the identity.
+    // value that a later snapshot loses. One registry observed over
+    // time is a chain: every interim snapshot is pointwise at most the
+    // final one, so the over-time join of any interim snapshot into
+    // the final one is the identity. (The Sum-merge is the law for
+    // disjoint sources and would double-count here.)
     let reg = Registry::new();
     let mut interim = Vec::new();
     std::thread::scope(|s| {
@@ -72,12 +75,17 @@ fn snapshots_taken_mid_hammer_merge_to_the_final_state() {
         }
     });
     let final_snap = reg.snapshot();
-    let mut merged = final_snap.clone();
-    for s in &interim {
-        merged.merge(s);
+    for (i, s) in interim.iter().enumerate() {
+        assert!(
+            s.is_dominated_by(&final_snap),
+            "interim snapshot {i} carried a value the final export lost"
+        );
+        if let Some(next) = interim.get(i + 1) {
+            assert!(s.is_dominated_by(next), "snapshot {i} outran its successor");
+        }
     }
-    assert_eq!(
-        merged, final_snap,
-        "an interim snapshot carried a value the final export lost"
-    );
+    let joined = interim
+        .iter()
+        .fold(final_snap.clone(), |acc, s| acc.joined(s));
+    assert_eq!(joined, final_snap);
 }

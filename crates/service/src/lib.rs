@@ -37,12 +37,18 @@
 //!   [`ShardLink`]s, and cross-checks per-tick control checksums as a
 //!   desync gate. The relay holds no durable state: restart is
 //!   re-handshake plus resume at the shards' maximum position.
+//! * [`checksum`] — the incremental state checksum: an additive
+//!   multiset hash of the digested state, kept up to date where the
+//!   state changes, split into a replicated part (the relay's desync
+//!   gate) and an owned part (summed across shards into one global
+//!   per-tick checksum).
 //!
 //! [`LivenessEpoch`]: tmwia_billboard::LivenessEpoch
 //! [`ShardLink`]: shard::ShardLink
 
 #![forbid(unsafe_code)]
 
+pub mod checksum;
 pub mod load;
 pub mod registry;
 pub mod relay;
@@ -54,6 +60,7 @@ pub mod transport;
 pub mod wal;
 pub mod wire;
 
+pub use checksum::Checksum;
 pub use load::{
     run_deterministic, run_durable, run_serving, run_tcp, ClientMix, LoadConfig, LoadOutcome,
     RequestKind,

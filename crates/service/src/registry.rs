@@ -21,9 +21,16 @@
 //!
 //! Each open session carries a cost ledger (probes since join, posts,
 //! requests served) reported back on `Leave`.
+//!
+//! The registry also keeps its share of the incremental state checksum
+//! (see `checksum.rs`): the sum of the open sessions' binding hashes,
+//! updated only when a session is admitted or closed at the commit
+//! barrier, and the sum of their linear ledger terms, updated with the
+//! ledgers themselves.
 
+use crate::checksum;
 use crate::wire::{ErrorCode, SessionId};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use tmwia_billboard::{LivenessEpoch, PlayerId};
 
 /// Per-session ledger and binding.
@@ -95,6 +102,15 @@ pub struct SessionRegistry {
     /// Closed by a staged control pass; gone for resolution inside that
     /// batch, still live for sealing until the receipt is issued.
     staged_closes: BTreeMap<SessionId, SessionState>,
+    /// Staged closures of sessions that were still staged joins: never
+    /// committed, so their binding was never added to `bindings`.
+    cancelled: BTreeSet<SessionId>,
+    /// Σ binding hashes of committed sessions (open plus staged-to-close
+    /// that were open).
+    bindings: u64,
+    /// Σ linear ledger terms of every session whose ledger can still
+    /// change (open, staged-to-close, staged joins).
+    ledgers: u64,
 }
 
 impl SessionRegistry {
@@ -108,6 +124,9 @@ impl SessionRegistry {
             retired: 0,
             staged_joins: BTreeMap::new(),
             staged_closes: BTreeMap::new(),
+            cancelled: BTreeSet::new(),
+            bindings: 0,
+            ledgers: 0,
         }
     }
 
@@ -116,9 +135,7 @@ impl SessionRegistry {
     /// stage + immediate commit — the unpipelined shape.
     pub fn join(&mut self, tick: u64) -> Result<(SessionId, PlayerId), ErrorCode> {
         let (session, player) = self.stage_join(tick)?;
-        if let Some(st) = self.staged_joins.remove(&session) {
-            self.open.insert(session, st);
-        }
+        self.commit_staged_joins();
         Ok((session, player))
     }
 
@@ -173,7 +190,10 @@ impl SessionRegistry {
         // A join and leave staged in the same batch cancel out before
         // the session was ever live.
         let st = match self.staged_joins.remove(&session) {
-            Some(st) => st,
+            Some(st) => {
+                self.cancelled.insert(session);
+                st
+            }
             None => match self.open.remove(&session) {
                 Some(st) => st,
                 None => return Err(ErrorCode::UnknownSession),
@@ -202,6 +222,7 @@ impl SessionRegistry {
     /// same as the unpipelined path.
     pub fn commit_staged_joins(&mut self) {
         while let Some((session, st)) = self.staged_joins.pop_first() {
+            self.bindings = self.bindings.wrapping_add(binding_of(session, &st));
             self.open.insert(session, st);
         }
     }
@@ -216,6 +237,12 @@ impl SessionRegistry {
         probes_now: u64,
     ) -> Option<LeaveReceipt> {
         let st = self.staged_closes.remove(&session)?;
+        if !self.cancelled.remove(&session) {
+            self.bindings = self.bindings.wrapping_sub(binding_of(session, &st));
+        }
+        self.ledgers = self
+            .ledgers
+            .wrapping_sub(checksum::ledger(session, st.posts, st.served));
         self.retired += 1;
         Some(LeaveReceipt {
             player: st.player,
@@ -234,7 +261,7 @@ impl SessionRegistry {
     /// reachable (their ledger accumulates until the receipt is
     /// issued), as are staged admissions (defensively — a staged batch
     /// never executes data requests before it commits).
-    pub fn state_mut(&mut self, session: SessionId) -> Option<&mut SessionState> {
+    fn state_mut(&mut self, session: SessionId) -> Option<&mut SessionState> {
         if self.open.contains_key(&session) {
             return self.open.get_mut(&session);
         }
@@ -242,6 +269,30 @@ impl SessionRegistry {
             return self.staged_closes.get_mut(&session);
         }
         self.staged_joins.get_mut(&session)
+    }
+
+    /// Charge one executed data request to a session's ledger: `served`
+    /// goes up by one and `posts` by `posted`. A session that is no
+    /// longer reachable (closed earlier in the same tick) is skipped.
+    pub fn record_served(&mut self, session: SessionId, posted: u64) {
+        if let Some(st) = self.state_mut(session) {
+            st.served += 1;
+            st.posts += posted;
+            self.ledgers = self
+                .ledgers
+                .wrapping_add(checksum::ledger(session, posted, 1));
+        }
+    }
+
+    /// The registry's replicated checksum term: Σ binding hashes of the
+    /// committed sessions.
+    pub fn bindings_checksum(&self) -> u64 {
+        self.bindings
+    }
+
+    /// The registry's owned checksum term: Σ linear ledger terms.
+    pub fn ledgers_checksum(&self) -> u64 {
+        self.ledgers
     }
 
     /// Sessions live for sealing purposes: open plus staged-to-close
@@ -292,6 +343,7 @@ impl SessionRegistry {
             ));
         }
         let mut open = BTreeMap::new();
+        let (mut bindings, mut ledgers) = (0u64, 0u64);
         for (session, st) in sessions {
             if session == 0 || session >= next_session {
                 return Err(format!("session handle {session} out of minted range"));
@@ -299,6 +351,8 @@ impl SessionRegistry {
             if st.player >= next_player {
                 return Err(format!("player slot {} was never minted", st.player));
             }
+            bindings = bindings.wrapping_add(binding_of(session, &st));
+            ledgers = ledgers.wrapping_add(checksum::ledger(session, st.posts, st.served));
             if open.insert(session, st).is_some() {
                 return Err(format!("duplicate session handle {session}"));
             }
@@ -311,6 +365,9 @@ impl SessionRegistry {
             retired,
             staged_joins: BTreeMap::new(),
             staged_closes: BTreeMap::new(),
+            cancelled: BTreeSet::new(),
+            bindings,
+            ledgers,
         })
     }
 
@@ -327,6 +384,10 @@ impl SessionRegistry {
         }
         LivenessEpoch::from_parts(dead, paid, 0)
     }
+}
+
+fn binding_of(session: SessionId, st: &SessionState) -> u64 {
+    checksum::binding(session, st.player as u64, st.joined_tick)
 }
 
 #[cfg(test)]
@@ -390,13 +451,40 @@ mod tests {
     fn ledger_accumulates_posts_and_served() {
         let mut reg = SessionRegistry::new(1);
         let (s, _) = reg.join(0).unwrap();
-        {
-            let st = reg.state_mut(s).unwrap();
-            st.posts += 2;
-            st.served += 3;
-        }
+        reg.record_served(s, 1);
+        reg.record_served(s, 1);
+        reg.record_served(s, 0);
+        assert_eq!(reg.ledgers_checksum(), checksum::ledger(s, 2, 3));
         let receipt = reg.leave(s, 10, 7).unwrap();
         assert_eq!(receipt.posts, 2);
+        assert_eq!(reg.ledgers_checksum(), 0, "a closed ledger leaves the sum");
+    }
+
+    #[test]
+    fn checksum_terms_track_commits_and_closes() {
+        let mut reg = SessionRegistry::new(4);
+        let (s1, p1) = reg.join(3).unwrap();
+        let one = checksum::binding(s1, p1 as u64, 3);
+        assert_eq!(reg.bindings_checksum(), one);
+        // A staged join is not committed: no binding yet.
+        let (s2, p2) = reg.stage_join(4).unwrap();
+        assert_eq!(reg.bindings_checksum(), one);
+        reg.commit_staged_joins();
+        let two = one.wrapping_add(checksum::binding(s2, p2 as u64, 4));
+        assert_eq!(reg.bindings_checksum(), two);
+        // Joined and left inside one staged batch: never committed, so
+        // closing it must not subtract a binding that was never added.
+        let (s3, _) = reg.stage_join(5).unwrap();
+        reg.stage_leave(s3).unwrap();
+        reg.commit_staged_joins();
+        reg.finish_close(s3, 5, 0).unwrap();
+        assert_eq!(reg.bindings_checksum(), two);
+        // A staged leave keeps the binding until its receipt.
+        reg.stage_leave(s1).unwrap();
+        assert_eq!(reg.bindings_checksum(), two);
+        reg.finish_close(s1, 6, 0).unwrap();
+        reg.leave(s2, 6, 0).unwrap();
+        assert_eq!((reg.bindings_checksum(), reg.ledgers_checksum()), (0, 0));
     }
 
     #[test]
@@ -428,7 +516,7 @@ mod tests {
         // Seal view: still live, ledger still reachable.
         assert_eq!(reg.live_count(), 1);
         assert!(reg.liveness(vec![0]).is_live(p));
-        reg.state_mut(s).unwrap().posts += 1;
+        reg.record_served(s, 1);
         assert_eq!(reg.retired(), 0);
         // Receipt at execute time reads the deferred ledger.
         let receipt = reg.finish_close(s, 7, 3).unwrap();

@@ -37,17 +37,21 @@
 //! ## The desync gate
 //!
 //! Determinism replaces replication only while it actually holds, so
-//! the relay verifies it every tick: each `BatchDone` carries an
-//! `fnv64` of the shard's [`Service::control_digest`] — a rendering of
-//! exactly the replicated state — and the relay refuses to continue the
-//! moment two shards disagree (a [`ShardError::Desync`] is latched,
-//! queued clients get typed errors, and the per-shard *state* checksums
-//! logged each tick give the audit trail). A torn broadcast (relay
-//! killed after some shards executed a tick) surfaces the same way: the
-//! restarted relay catches a 1-tick laggard up with an empty seal, and
-//! if the torn tick carried writes for the laggard the next control
-//! checksum trips the gate — at-most-once delivery, detected rather
-//! than papered over.
+//! the relay verifies it every tick: each `BatchDone` carries the two
+//! parts of the shard's incremental [`Service::checksum`]. The
+//! *replicated* part hashes exactly the replicated state (session
+//! bindings, tick, epoch, shutdown flag, registry counters, snapshot
+//! header), and the relay refuses to continue the moment two shards
+//! disagree on it (a [`ShardError::Desync`] is latched and queued
+//! clients get typed errors). The *owned* parts (ledgers, memos,
+//! posts) of disjoint shards sum, so the relay also logs one global
+//! per-tick state checksum that equals a single process's
+//! [`Service::state_checksum`] over the same request stream — the audit
+//! trail. A torn broadcast (relay killed after some shards executed a
+//! tick) surfaces the same way: the restarted relay catches a 1-tick
+//! laggard up with an empty seal, and if the torn tick carried writes
+//! for the laggard the next control checksum trips the gate —
+//! at-most-once delivery, detected rather than papered over.
 //!
 //! ## Caveats (documented divergences from the single process)
 //!
@@ -59,6 +63,7 @@
 //!   the relay's counters; per-shard service counters (process-local,
 //!   excluded from digests) are not summed.
 
+use crate::checksum::Checksum;
 use crate::service::{
     render_digest, DigestParts, PlayerDigest, ReplySender, Service, ServiceConfig, Serving,
 };
@@ -174,7 +179,7 @@ impl RelayConfig {
 }
 
 /// One shard's `BatchDone` payload as the relay consumes it:
-/// `(epoch, control checksum, state checksum, responses)`.
+/// `(epoch, replicated checksum, owned checksum, responses)`.
 type ShardDone = (u64, u64, u64, VecDeque<(u64, Response)>);
 
 /// One admitted-but-unexecuted write, with its relay-minted global
@@ -406,6 +411,25 @@ impl<L: ShardLink> Relay<L> {
         decode_shard_msg(&body).map_err(wire)
     }
 
+    /// Send `msg` to every shard, then collect the answers in shard
+    /// order. The shards answer concurrently, so a fan-out costs about
+    /// one round trip however many shards there are (the tick's `Batch`
+    /// broadcast works the same way).
+    fn fan_out(&mut self, msg: &ShardMsg) -> Result<Vec<ShardMsg>, ShardError> {
+        let frame = encode_shard_msg(msg).map_err(wire)?;
+        for link in &mut self.links {
+            link.send(&frame).map_err(wire)?;
+        }
+        self.links
+            .iter_mut()
+            .enumerate()
+            .map(|(s, link)| {
+                let body = link.recv().map_err(wire)?.ok_or_else(|| hangup(s))?;
+                decode_shard_msg(&body).map_err(wire)
+            })
+            .collect()
+    }
+
     /// Submit a request — the relay mirror of [`Service::submit`].
     /// Reads are answered synchronously off the shard snapshots; writes
     /// are admitted into the canonical queue with a freshly minted
@@ -439,9 +463,8 @@ impl<L: ShardLink> Relay<L> {
                 let take = count.min(self.cfg.recommend_cap);
                 let mut merged: Vec<(u32, i64)> = Vec::new();
                 let mut epoch: Option<u64> = None;
-                for s in 0..self.links.len() {
-                    let msg =
-                        Self::exchange(&mut self.links[s], s, &ShardMsg::Rank { count: take })?;
+                let answers = self.fan_out(&ShardMsg::Rank { count: take })?;
+                for (s, msg) in answers.into_iter().enumerate() {
                     let ShardMsg::RankDone { epoch: e, entries } = msg else {
                         return Err(ShardError::Protocol {
                             shard: s as u32,
@@ -476,15 +499,11 @@ impl<L: ShardLink> Relay<L> {
                 self.served += 1;
                 let mut probes = 0u64;
                 let mut head: Option<(u64, u32)> = None;
-                for s in 0..self.links.len() {
-                    let msg = Self::exchange(
-                        &mut self.links[s],
-                        s,
-                        &ShardMsg::Query {
-                            id,
-                            req: Request::Stats,
-                        },
-                    )?;
+                let answers = self.fan_out(&ShardMsg::Query {
+                    id,
+                    req: Request::Stats,
+                })?;
+                for (s, msg) in answers.into_iter().enumerate() {
                     let ShardMsg::QueryDone {
                         resp:
                             Response::Stats {
@@ -723,7 +742,7 @@ impl<L: ShardLink> Relay<L> {
             dones.push((epoch, control, state, responses.into()));
         }
         // The gate: every shard must have sealed the same epoch with
-        // the same control-plane checksum.
+        // the same replicated checksum.
         let control0 = dones.first().map_or(0, |d| d.1);
         for (s, d) in dones.iter().enumerate() {
             if d.0 != self.epoch {
@@ -754,16 +773,20 @@ impl<L: ShardLink> Relay<L> {
                 });
             }
         }
+        // The global state checksum: the (agreed) replicated part plus
+        // every shard's owned part, at the relay's sequence position —
+        // the value a single process over the same stream reports.
+        let global = Checksum {
+            replicated: control0,
+            owned: dones.iter().fold(0u64, |acc, d| acc.wrapping_add(d.2)),
+        }
+        .total(self.next_seq);
         self.checksums.push(format!(
             "shardsum tick={} epoch={} control={control0:016x}",
             self.tick, self.epoch
         ));
-        for (s, d) in dones.iter().enumerate() {
-            self.checksums.push(format!(
-                "shardstate tick={} s={s} state={:016x}",
-                self.tick, d.2
-            ));
-        }
+        self.checksums
+            .push(format!("shardstate tick={} state={global:016x}", self.tick));
         // Positional merge: shards answer their sub-batches in sequence
         // order, so walking the global batch in order and popping from
         // the owning (or, for controls, every) shard pairs each request
@@ -826,9 +849,9 @@ impl<L: ShardLink> Relay<L> {
     /// global digest byte-identical to what a single process over the
     /// same request stream renders.
     pub fn merged_digest(&mut self) -> Result<String, ShardError> {
-        let mut parts = Vec::with_capacity(self.links.len());
-        for s in 0..self.links.len() {
-            let msg = Self::exchange(&mut self.links[s], s, &ShardMsg::Digest)?;
+        let answers = self.fan_out(&ShardMsg::Digest)?;
+        let mut parts = Vec::with_capacity(answers.len());
+        for (s, msg) in answers.into_iter().enumerate() {
             let ShardMsg::DigestDone(p) = msg else {
                 return Err(ShardError::Protocol {
                     shard: s as u32,
@@ -849,8 +872,7 @@ impl<L: ShardLink> Relay<L> {
     fn merged_metrics(&mut self) -> Result<MetricSnapshot, ShardError> {
         let expected = namespace_fingerprint();
         let mut merged = self.obs.snapshot();
-        for s in 0..self.links.len() {
-            let msg = Self::exchange(&mut self.links[s], s, &ShardMsg::Metrics)?;
+        for (s, msg) in self.fan_out(&ShardMsg::Metrics)?.into_iter().enumerate() {
             let ShardMsg::MetricsDone { namespace, values } = msg else {
                 return Err(ShardError::Protocol {
                     shard: s as u32,
@@ -1087,10 +1109,11 @@ impl<L: ShardLink> ShardedService<L> {
         self.inner.lock().fault.clone()
     }
 
-    /// The per-tick checksum log: one `shardsum` line per executed tick
-    /// (the cross-shard control checksum) followed by one `shardstate`
-    /// line per shard (its local state checksum) — the desync audit
-    /// trail CI uploads as an artifact.
+    /// The per-tick checksum log: per executed tick, one `shardsum` line
+    /// (the replicated checksum every shard agreed on) followed by one
+    /// `shardstate` line (the global state checksum, equal to a single
+    /// process's [`Service::state_checksum`] after the same tick) — the
+    /// desync audit trail CI uploads as an artifact.
     pub fn checksum_log(&self) -> Vec<String> {
         self.inner
             .lock()

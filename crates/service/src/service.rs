@@ -54,6 +54,7 @@
 //! (`Read`/`Recommend`/`Stats`) bypass the queue entirely and are
 //! answered from the latest sealed snapshot.
 
+use crate::checksum::{self, Checksum, Scalars};
 use crate::registry::{SessionRegistry, SessionState};
 use crate::snapshot::{BoardSnapshot, SnapshotCell};
 use crate::wal::{self, PersistedState, SessionDump, WalError, WalHeader, WalWriter};
@@ -311,6 +312,10 @@ pub struct Service {
     /// loops observe — always equals what the unpipelined queue length
     /// would be.
     staged_len: AtomicUsize,
+    /// The board's share of the state checksum: Σ paid-probe terms
+    /// (probe counters and memo entries) plus Σ post entries, added at
+    /// the seal barrier (see `checksum.rs`).
+    board_checksum: AtomicU64,
 }
 
 impl std::fmt::Debug for Service {
@@ -357,6 +362,7 @@ impl Service {
             obs,
             staged: Mutex::new(None),
             staged_len: AtomicUsize::new(0),
+            board_checksum: AtomicU64::new(0),
         })
     }
 
@@ -578,6 +584,7 @@ impl Service {
         let paid: Vec<u64> = (0..n).map(|p| self.engine.probes_of(p)).collect();
         let liveness = reg_guard.liveness(paid);
         let live = reg_guard.live_count() as u32;
+        drop(reg_guard);
         self.snapshot.store(BoardSnapshot::build(
             &self.board,
             liveness,
@@ -585,6 +592,14 @@ impl Service {
             st.epoch,
             st.tick,
         ));
+        // The one from-scratch checksum pass: the restored board's
+        // share (the registry rebuilt its own in `restore`). Replayed
+        // ticks then update it incrementally.
+        let parts = self.digest_parts();
+        self.board_checksum.store(
+            checksum::board_of(&parts.players, &parts.posts),
+            Ordering::Relaxed,
+        );
         Ok(())
     }
 
@@ -836,6 +851,40 @@ impl Service {
         render_digest(&self.digest_parts())
     }
 
+    /// The incrementally maintained state checksum, split into its
+    /// replicated and owned parts (see `checksum.rs`). O(1): the scalars
+    /// are hashed here, every other term is kept up to date where the
+    /// state changes. Whenever no batch is staged it equals
+    /// [`Checksum::of`] over [`Service::digest_parts`].
+    pub fn checksum(&self) -> Checksum {
+        let reg = self.registry.lock();
+        let snap = self.snapshot();
+        let scalars = Scalars {
+            tick: self.current_tick(),
+            shutdown: self.is_shutdown(),
+            minted: reg.slots_minted() as u64,
+            retired: reg.retired(),
+            live: reg.live_count() as u64,
+            epoch: snap.epoch,
+            snap_tick: snap.tick,
+            snap_live: snap.live,
+        };
+        Checksum {
+            replicated: scalars.hash().wrapping_add(reg.bindings_checksum()),
+            owned: reg
+                .ledgers_checksum()
+                .wrapping_add(self.board_checksum.load(Ordering::Relaxed)),
+        }
+    }
+
+    /// The single 64-bit state checksum: [`Service::checksum`] at this
+    /// service's sequence position. Whenever no batch is staged it
+    /// equals `Checksum::of(&parts).total(parts.seq)` for
+    /// `parts = self.digest_parts()`.
+    pub fn state_checksum(&self) -> u64 {
+        self.checksum().total(self.next_seq())
+    }
+
     /// The raw components [`render_digest`] renders. Exposed so the
     /// sharded relay can sum per-shard parts into one global digest
     /// that is byte-identical to the single-process
@@ -898,9 +947,9 @@ impl Service {
     /// everything the relay replicates identically onto every shard.
     /// Shard-local quantities (per-session posts/served ledgers, probe
     /// memos, the board) are excluded, so in a healthy topology this
-    /// string — and its `fnv64` — is byte-identical on every shard
-    /// after every tick. The relay cross-checks exactly that as the
-    /// desync gate.
+    /// string is byte-identical on every shard after every tick. A test
+    /// oracle: the relay's per-tick gate compares the replicated part of
+    /// [`Service::checksum`], which covers the same state and more.
     pub fn control_digest(&self) -> String {
         use std::fmt::Write as _;
         let reg = self.registry.lock();
@@ -1213,20 +1262,25 @@ impl Service {
                     if let Request::Probe { session, .. } | Request::Post { session, .. } =
                         &batch[i].req
                     {
-                        if let Some(st) = reg.state_mut(*session) {
-                            st.served += 1;
-                            st.posts += posted;
-                        }
+                        reg.record_served(*session, posted);
                     }
                 }
             }
             let mut tick_posts: Vec<(u32, PlayerId, bool)> = Vec::new();
             let (mut paid, mut memoized) = (0u64, 0u64);
-            for (group, posts) in results {
+            let mut board_delta = 0u64;
+            for ((group, posts), (player, _)) in results.into_iter().zip(&group_list) {
                 for (i, resp, _) in group {
-                    if let Response::Grade { charged, .. } = &resp {
+                    if let Response::Grade {
+                        object, charged, ..
+                    } = &resp
+                    {
                         if *charged {
                             paid += 1;
+                            board_delta = board_delta.wrapping_add(checksum::paid_probe(
+                                *player as u64,
+                                u64::from(*object),
+                            ));
                         } else {
                             memoized += 1;
                         }
@@ -1235,6 +1289,11 @@ impl Service {
                 }
                 tick_posts.extend(posts);
             }
+            for &(j, p, g) in &tick_posts {
+                board_delta = board_delta.wrapping_add(checksum::post(u64::from(j), p as u64, g));
+            }
+            self.board_checksum
+                .fetch_add(board_delta, Ordering::Relaxed);
             self.obs.add(MetricId::ProbesPaid, paid);
             self.obs.add(MetricId::ProbesMemoized, memoized);
             self.obs

@@ -7,9 +7,9 @@
 //! * [`ShardMsg`] — the control messages: a `Hello` handshake carrying
 //!   the shard's resume position, canonical `Batch` broadcasts tagged
 //!   with the global tick, `BatchDone` acknowledgements carrying the
-//!   per-tick control/state checksums the relay cross-checks as its
-//!   desync gate, and out-of-band query/rank/digest exchanges for the
-//!   snapshot read path.
+//!   per-tick replicated/owned state checksums (the relay gates on the
+//!   first and sums the second), and out-of-band query/rank/digest
+//!   exchanges for the snapshot read path.
 //! * [`encode_shard_msg`] / [`decode_shard_msg`] — a hand-rolled codec
 //!   in the same little-endian length-prefixed idiom as [`crate::wire`]
 //!   (shims policy: no serde). Client [`Request`]/[`Response`] values
@@ -85,11 +85,12 @@ pub enum ShardMsg {
         tick: u64,
         /// The shard's sealed epoch after the tick.
         epoch: u64,
-        /// `fnv64` of [`Service::control_digest`] — identical on every
-        /// healthy shard; the relay's desync gate compares these.
+        /// The replicated part of [`Service::checksum`] — identical on
+        /// every healthy shard; the relay's desync gate compares these.
         control: u64,
-        /// `fnv64` of [`Service::state_digest`] — shard-local (objects
-        /// are partitioned), logged by the relay for offline audit.
+        /// The owned part of [`Service::checksum`] — shard-local
+        /// (objects are partitioned); the relay sums these into the
+        /// global per-tick state checksum.
         state: u64,
         /// `(id, response)` in delivery (sequence) order for this
         /// shard's sub-batch entries, one per entry.
@@ -572,9 +573,10 @@ impl ShardLink for TcpLink {
 /// relay does not broadcast its empty ticks), `enqueue_replay` with the
 /// relay-minted global sequence numbers, then a *sealed* tick so an
 /// empty sub-batch still advances the epoch in lockstep with the other
-/// shards. The `BatchDone` answer carries `fnv64` checksums of the
-/// control digest (relay desync gate: must match across shards) and the
-/// full state digest (shard-local audit trail).
+/// shards. The `BatchDone` answer carries the two parts of the
+/// service's incremental state checksum: the replicated part (relay
+/// desync gate: must match across shards) and the owned part (summed
+/// by the relay into the global state checksum). Both are O(1) reads.
 ///
 /// Link EOF is a clean exit, not an error: when the relay dies its
 /// workers must die with it, so a restarted relay re-spawns the world
@@ -610,11 +612,12 @@ pub fn run_shard_worker(
                 while let Ok(pair) = rx.try_recv() {
                     responses.push(pair);
                 }
+                let sum = svc.checksum();
                 let done = ShardMsg::BatchDone {
                     tick,
                     epoch: svc.snapshot().epoch,
-                    control: fnv64(svc.control_digest().as_bytes()),
-                    state: fnv64(svc.state_digest().as_bytes()),
+                    control: sum.replicated,
+                    state: sum.owned,
                     responses,
                 };
                 link.send(&encode_shard_msg(&done)?)?;
@@ -649,16 +652,9 @@ pub fn run_shard_worker(
                 // is exactly the `Max` merge the metric declares.
                 svc.obs().inc(MetricId::RecommendsServed);
                 let snap = svc.snapshot();
-                let mut scored: Vec<(i64, u32)> = snap
-                    .posts
-                    .iter()
-                    .map(|(&j, cell)| (2 * i64::from(cell.likes) - cell.entries.len() as i64, j))
-                    .collect();
-                scored.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-                scored.truncate(count as usize);
                 let done = ShardMsg::RankDone {
                     epoch: snap.epoch,
-                    entries: scored.into_iter().map(|(net, j)| (j, net)).collect(),
+                    entries: snap.top_scored(count as usize),
                 };
                 link.send(&encode_shard_msg(&done)?)?;
             }

@@ -180,6 +180,16 @@ impl BoardSnapshot {
         self.ranked.iter().take(count).copied().collect()
     }
 
+    /// The first `count` ranked objects with their net scores — a
+    /// shard's contribution to the relay's cross-shard rank merge.
+    pub fn top_scored(&self, count: usize) -> Vec<(u32, i64)> {
+        self.ranked
+            .iter()
+            .take(count)
+            .map(|&j| (j, self.posts.get(&j).map_or(0, PostCell::net)))
+            .collect()
+    }
+
     /// Deterministic textual rendering: the byte-identity tests compare
     /// this across thread pools.
     pub fn digest(&self) -> String {
@@ -281,6 +291,8 @@ mod tests {
         // net: obj2 = +2, obj3 = 0, obj5 = −2.
         assert_eq!(snap.ranked, vec![2, 3, 5]);
         assert_eq!(snap.recommend(2), vec![2, 3]);
+        assert_eq!(snap.top_scored(2), vec![(2, 2), (3, 0)]);
+        assert_eq!(snap.top_scored(9), vec![(2, 2), (3, 0), (5, -2)]);
         assert_eq!(snap.majority(2), Some(true));
         assert_eq!(snap.majority(5), Some(false));
         assert_eq!(snap.majority(3), None, "tie has no majority");

@@ -95,12 +95,9 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 }
 
 /// FNV-1a 64-bit hash — used to fingerprint recovered state digests in
-/// CLI output so transcript diffs also gate state equality.
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
-    })
-}
+/// CLI output so transcript diffs also gate state equality. The one
+/// implementation lives in `tmwia-obs`; this path stays for callers.
+pub use tmwia_obs::fnv64;
 
 // ---------------------------------------------------------------- errors
 
