@@ -3,8 +3,9 @@
 //! Drives `tmwia load`-style closed-loop workloads (arrival- and
 //! churn-heavy request mixes at several session scales) plus three
 //! micro-benches on the hot serving paths: the incremental snapshot
-//! seal ([`BoardSnapshot::build_delta`] vs the full
-//! [`BoardSnapshot::build`]), the WAL append path, and the
+//! seal ([`BoardSnapshot::build_delta`] onto the previous snapshot vs
+//! [`BoardSnapshot::build`], which delta-seals the whole board onto an
+//! empty one), the WAL append path, and the
 //! [`DistanceKernel`] one-vs-snapshot recommend kernel.
 //!
 //! The report is a schema-versioned JSON document with a deliberate
@@ -250,10 +251,11 @@ fn run_workload(spec: &WorkloadSpec, seed: u64) -> Result<WorkloadResult, String
 }
 
 /// Seal micro-bench: chain `epochs` incremental seals from a seeded
-/// post stream and time them against full rebuilds of the same board.
-/// The digest checksum folds every delta-sealed epoch digest, so a
-/// divergence between the two paths shows up as a deterministic-field
-/// mismatch, not just a timing blip.
+/// post stream and time them against full rebuilds of the same board
+/// (`build`: every visible post sealed onto an empty snapshot, the
+/// restore path). The digest checksum folds every delta-sealed epoch
+/// digest, so a divergence between the two paths shows up as a
+/// deterministic-field mismatch, not just a timing blip.
 fn seal_bench(seed: u64, quick: bool) -> (u64, u64, u64, u128, u128) {
     let epochs: u64 = if quick { 32 } else { 256 };
     let posts_per_tick: u64 = 16;

@@ -78,7 +78,7 @@ pub use shard::{
     channel_pair, run_shard_worker, service_fingerprint, topology_fingerprint, ChannelLink,
     ShardLink, ShardMsg, TcpLink,
 };
-pub use snapshot::{BoardSnapshot, PostCell, SnapshotCell};
+pub use snapshot::{BoardSnapshot, PostCell, PostTable, SnapshotCell};
 pub use tcp::{serve, ServeOptions, ServeSummary, TcpServer, TcpTransport};
 pub use transport::{InProcTransport, Transport, TransportError};
 pub use wal::{PersistedState, WalError, WalHeader, WalWriter};

@@ -28,8 +28,9 @@
 //!   is invisible;
 //! * the *seal* happens at a barrier after every group has finished:
 //!   epoch advance, then one [`BoardSnapshot`] sealed **incrementally**
-//!   (the previous snapshot plus exactly this tick's posts — untouched
-//!   objects carry over as `Arc` bumps) and swapped in;
+//!   (the previous snapshot plus exactly this tick's posts — pages of
+//!   the post table the tick did not touch carry over as `Arc` bumps)
+//!   and swapped in;
 //! * *delivery* walks the batch in arrival order.
 //!
 //! ## Pipelining

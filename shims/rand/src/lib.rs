@@ -231,6 +231,7 @@ pub mod seq {
     /// Distinct-index sampling.
     pub mod index {
         use super::super::Rng;
+        use std::collections::BTreeMap;
 
         /// A set of distinct indices in `0..length`, in the random
         /// order they were drawn.
@@ -278,6 +279,12 @@ pub mod seq {
         /// Sample `amount` distinct indices uniformly from
         /// `0..length`, via a partial Fisher–Yates shuffle.
         ///
+        /// The shuffled pool `0..length` is never materialised: slot
+        /// `x` holds `x` unless a swap displaced it, and only displaced
+        /// slots are kept (at most `amount` of them). Draws and picks
+        /// are exactly those of the dense shuffle, in the same order,
+        /// at O(amount · log amount) instead of O(length).
+        ///
         /// # Panics
         /// Panics if `amount > length`.
         pub fn sample<R: Rng + ?Sized>(rng: &mut R, length: usize, amount: usize) -> IndexVec {
@@ -285,20 +292,24 @@ pub mod seq {
                 amount <= length,
                 "cannot sample {amount} distinct of {length}"
             );
-            let mut pool: Vec<usize> = (0..length).collect();
+            let mut displaced: BTreeMap<usize, usize> = BTreeMap::new();
+            let mut picks = Vec::with_capacity(amount);
             for i in 0..amount {
                 let j = rng.gen_range(i..length);
-                pool.swap(i, j);
+                let at_i = displaced.get(&i).copied().unwrap_or(i);
+                // Slot `i` is never read again, so only slot `j` needs
+                // to remember the value swapped into it.
+                let at_j = displaced.insert(j, at_i).unwrap_or(j);
+                picks.push(at_j);
             }
-            pool.truncate(amount);
-            IndexVec(pool)
+            IndexVec(picks)
         }
     }
 
     #[cfg(test)]
     mod tests {
         use super::super::rngs::StdRng;
-        use super::super::SeedableRng;
+        use super::super::{Rng, SeedableRng};
         use super::index::sample;
         use super::SliceRandom;
 
@@ -323,6 +334,39 @@ pub mod seq {
                 d.dedup();
                 assert_eq!(d.len(), k, "duplicates in sample");
                 assert!(s.iter().all(|&i| i < len));
+            }
+        }
+
+        /// The dense partial Fisher–Yates the sparse one replaces.
+        fn dense_sample(rng: &mut StdRng, length: usize, amount: usize) -> Vec<usize> {
+            let mut pool: Vec<usize> = (0..length).collect();
+            for i in 0..amount {
+                let j = rng.gen_range(i..length);
+                pool.swap(i, j);
+            }
+            pool.truncate(amount);
+            pool
+        }
+
+        #[test]
+        fn sparse_sample_matches_the_dense_shuffle() {
+            for length in [1usize, 2, 7, 64, 1000, 100_000] {
+                for amount in [0usize, 1, 2, 5, 63, 500, 100_000] {
+                    if amount > length {
+                        continue;
+                    }
+                    for seed in 0..4u64 {
+                        let mut a = StdRng::seed_from_u64(seed);
+                        let mut b = StdRng::seed_from_u64(seed);
+                        assert_eq!(
+                            sample(&mut a, length, amount).into_vec(),
+                            dense_sample(&mut b, length, amount),
+                            "length={length} amount={amount} seed={seed}"
+                        );
+                        // Both consumed the same draws.
+                        assert_eq!(a.gen::<u64>(), b.gen::<u64>());
+                    }
+                }
             }
         }
 
