@@ -44,7 +44,7 @@ impl std::fmt::Display for ArgError {
 impl std::error::Error for ArgError {}
 
 /// Flags whose presence alone is meaningful (no value follows).
-const SWITCHES: &[&str] = &["theory", "quiet", "help", "shutdown", "no-pipeline"];
+const SWITCHES: &[&str] = &["theory", "quiet", "help", "shutdown"];
 
 impl Args {
     /// Parse from an iterator of arguments (without the program name).

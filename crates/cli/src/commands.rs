@@ -545,7 +545,6 @@ fn build_service(
         batch_size: args.num_or("batch", 64usize)?,
         queue_capacity: args.num_or("queue", 256usize)?,
         seed: args.num_or("seed", 1u64)?,
-        pipeline: !args.has("no-pipeline"),
         ..ServiceConfig::default()
     };
     if let Ok(dir) = args.str_req("wal-dir") {
@@ -693,7 +692,6 @@ fn build_shard_services(
         batch_size: args.num_or("batch", 64usize)?,
         queue_capacity: args.num_or("queue", 256usize)?,
         seed: args.num_or("seed", 1u64)?,
-        pipeline: !args.has("no-pipeline"),
         ..ServiceConfig::default()
     };
     let services = (0..shards)
@@ -729,9 +727,6 @@ fn shard_child_args(args: &Args, shard: usize) -> Result<Vec<String>, CliError> 
             v.push(format!("--{key}"));
             v.push(val);
         }
-    }
-    if args.has("no-pipeline") {
-        v.push("--no-pipeline".into());
     }
     if let Ok(dir) = args.str_req("wal-dir") {
         let sub = std::path::Path::new(&dir).join(format!("shard-{shard}"));
@@ -831,7 +826,6 @@ fn cmd_serve_sharded(args: &Args, shards: usize) -> Result<String, CliError> {
         batch_size: args.num_or("batch", 64usize)?,
         queue_capacity: args.num_or("queue", 256usize)?,
         seed: args.num_or("seed", 1u64)?,
-        pipeline: !args.has("no-pipeline"),
         ..ServiceConfig::default()
     };
     let relay_cfg = RelayConfig::for_service(&scfg, shards, inst.n(), inst.m());

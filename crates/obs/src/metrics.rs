@@ -84,7 +84,10 @@ pub enum MetricId {
 
     /// Desync faults latched by the relay's checksum gate.
     DesyncLatches,
-    /// Ticks where the pipeline stalled instead of staging ahead.
+    /// Retired: always 0. Counted ticks where the service's former
+    /// tick pipelining could not stage the next batch ahead. Kept
+    /// registered because the metric name space (and its fingerprint)
+    /// includes it and exports still carry the column.
     PipelineStalls,
     /// Requests re-executed from the WAL during recovery.
     RecoveryReplayedRequests,

@@ -13,7 +13,7 @@
 //!
 //! | component | term | maintained at |
 //! |---|---|---|
-//! | session binding `(session, player, joined_tick)` | `h(·)` | commit barrier (admit / close) |
+//! | session binding `(session, player, joined_tick)` | `h(·)` | control pass (admit / close) |
 //! | session ledgers `posts`, `served` | `count · r(session)` | seal barrier, close |
 //! | player probe counter | `count · r(player)` | seal barrier (charged grades) |
 //! | memo entry `(player, object)` | `h(·)` | seal barrier (charged grades) |

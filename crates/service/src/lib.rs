@@ -11,10 +11,10 @@
 //!   churn expressed through the fault layer's [`LivenessEpoch`]
 //!   sealed at tick barriers.
 //! * [`service`] — the core: a bounded request queue drained in
-//!   deterministic **batch ticks** (serial control pass, seeded
-//!   player-grouped parallel data pass via `par_map_phased`, snapshot
-//!   seal, arrival-order delivery). Byte-reproducible under any
-//!   thread count.
+//!   deterministic **batch ticks**, run on the calling thread (serial
+//!   control pass, seeded player-grouped data pass, snapshot seal,
+//!   arrival-order delivery). Byte-reproducible under any thread
+//!   count.
 //! * [`snapshot`] — copy-on-write versioned board views: reads are
 //!   served lock-free from the latest sealed epoch and never block
 //!   writers.

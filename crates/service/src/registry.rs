@@ -15,22 +15,21 @@
 //! 2. **Liveness is observed through sealed epochs.** The registry
 //!    reuses the fault layer's [`LivenessEpoch`] to describe which slots
 //!    are live: a slot not currently bound to an open session is "dead"
-//!    exactly like a crashed player. The epoch is captured at the tick
-//!    barrier (after control requests, before the snapshot seal), so
-//!    readers of a snapshot never observe a half-open session.
+//!    exactly like a crashed player. The epoch is captured at the seal,
+//!    after the tick's control pass has applied every join and leave,
+//!    so readers of a snapshot never observe a half-open session.
 //!
 //! Each open session carries a cost ledger (probes since join, posts,
 //! requests served) reported back on `Leave`.
 //!
 //! The registry also keeps its share of the incremental state checksum
 //! (see `checksum.rs`): the sum of the open sessions' binding hashes,
-//! updated only when a session is admitted or closed at the commit
-//! barrier, and the sum of their linear ledger terms, updated with the
-//! ledgers themselves.
+//! updated when a session is admitted or closed, and the sum of their
+//! linear ledger terms, updated with the ledgers themselves.
 
 use crate::checksum;
 use crate::wire::{ErrorCode, SessionId};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use tmwia_billboard::{LivenessEpoch, PlayerId};
 
 /// Per-session ledger and binding.
@@ -64,31 +63,9 @@ pub struct LeaveReceipt {
 }
 
 /// Online session bookkeeping. Not internally synchronized — the
-/// service wraps it in a mutex and only touches it in the serial
+/// service wraps it in a mutex and changes bindings only in the serial
 /// control pass of a tick, which is what makes its decisions (slot
 /// assignment order, admission) independent of thread scheduling.
-///
-/// ## Staged control decisions (tick pipelining)
-///
-/// The pipelined service prepares tick `T+1`'s control pass while tick
-/// `T`'s data pass is still running. Those decisions must bind (so
-/// later requests in the same prepared batch resolve against them) but
-/// must **not** become visible to tick `T`'s seal — a snapshot sealed
-/// at `T` has to show exactly the sessions that were open through `T`.
-/// The registry therefore keeps a two-phase view:
-///
-/// * [`SessionRegistry::stage_join`] / [`SessionRegistry::stage_leave`]
-///   record admissions and closures in staging maps. Staged joins are
-///   invisible to [`SessionRegistry::liveness`] / `live_count`; staged
-///   closures stay *live* there (they were open through the sealing
-///   tick, and their receipt has not been issued).
-/// * [`SessionRegistry::commit_staged_joins`] +
-///   [`SessionRegistry::finish_close`] promote the staged batch when
-///   its tick actually executes — after the previous tick sealed, which
-///   is exactly when the unpipelined control pass would have run.
-///
-/// The unpipelined path uses the same stage-then-commit calls
-/// back-to-back, so both paths make byte-identical decisions.
 #[derive(Debug)]
 pub struct SessionRegistry {
     capacity: usize,
@@ -96,20 +73,9 @@ pub struct SessionRegistry {
     next_session: SessionId,
     open: BTreeMap<SessionId, SessionState>,
     retired: u64,
-    /// Admitted by a staged control pass; open for resolution inside
-    /// that batch, not yet open for sealing.
-    staged_joins: BTreeMap<SessionId, SessionState>,
-    /// Closed by a staged control pass; gone for resolution inside that
-    /// batch, still live for sealing until the receipt is issued.
-    staged_closes: BTreeMap<SessionId, SessionState>,
-    /// Staged closures of sessions that were still staged joins: never
-    /// committed, so their binding was never added to `bindings`.
-    cancelled: BTreeSet<SessionId>,
-    /// Σ binding hashes of committed sessions (open plus staged-to-close
-    /// that were open).
+    /// Σ binding hashes of the open sessions.
     bindings: u64,
-    /// Σ linear ledger terms of every session whose ledger can still
-    /// change (open, staged-to-close, staged joins).
+    /// Σ linear ledger terms of the open sessions.
     ledgers: u64,
 }
 
@@ -122,44 +88,14 @@ impl SessionRegistry {
             next_session: 1,
             open: BTreeMap::new(),
             retired: 0,
-            staged_joins: BTreeMap::new(),
-            staged_closes: BTreeMap::new(),
-            cancelled: BTreeSet::new(),
             bindings: 0,
             ledgers: 0,
         }
     }
 
     /// Admit a session: bind the lowest unminted slot. Rejects with
-    /// [`ErrorCode::Capacity`] once all slots have been minted. This is
-    /// stage + immediate commit — the unpipelined shape.
+    /// [`ErrorCode::Capacity`] once all slots have been minted.
     pub fn join(&mut self, tick: u64) -> Result<(SessionId, PlayerId), ErrorCode> {
-        let (session, player) = self.stage_join(tick)?;
-        self.commit_staged_joins();
-        Ok((session, player))
-    }
-
-    /// Close a session, reporting its cost. `probes_now` is the bound
-    /// slot's current probe counter. Stage + immediate receipt — the
-    /// unpipelined shape.
-    pub fn leave(
-        &mut self,
-        session: SessionId,
-        tick: u64,
-        probes_now: u64,
-    ) -> Result<LeaveReceipt, ErrorCode> {
-        self.stage_leave(session)?;
-        self.finish_close(session, tick, probes_now)
-            .ok_or(ErrorCode::UnknownSession)
-    }
-
-    /// Stage an admission for a batch that has not executed yet. Mints
-    /// the slot and handle immediately (later requests in the same
-    /// batch must resolve the new session, and a concurrent seal must
-    /// never hand out the same slot twice), but the session stays out
-    /// of `open` — and therefore out of the liveness seal — until
-    /// [`SessionRegistry::commit_staged_joins`].
-    pub fn stage_join(&mut self, tick: u64) -> Result<(SessionId, PlayerId), ErrorCode> {
         if self.next_player >= self.capacity {
             return Err(ErrorCode::Capacity);
         }
@@ -167,84 +103,36 @@ impl SessionRegistry {
         self.next_player += 1;
         let session = self.next_session;
         self.next_session += 1;
-        self.staged_joins.insert(
-            session,
-            SessionState {
-                player,
-                joined_tick: tick,
-                probes_at_join: 0,
-                posts: 0,
-                served: 0,
-            },
-        );
+        let st = SessionState {
+            player,
+            joined_tick: tick,
+            probes_at_join: 0,
+            posts: 0,
+            served: 0,
+        };
+        self.bindings = self.bindings.wrapping_add(binding_of(session, &st));
+        self.open.insert(session, st);
         Ok((session, player))
     }
 
-    /// Stage a closure. The session disappears for batch-internal
-    /// resolution (a later request in the same batch sees
-    /// `UnknownSession`, exactly as if the leave had executed) but its
-    /// slot stays live for the in-flight seal; the receipt is deferred
-    /// to [`SessionRegistry::finish_close`] so the probe ledger is read
-    /// at execute time, not staging time.
-    pub fn stage_leave(&mut self, session: SessionId) -> Result<PlayerId, ErrorCode> {
-        // A join and leave staged in the same batch cancel out before
-        // the session was ever live.
-        let st = match self.staged_joins.remove(&session) {
-            Some(st) => {
-                self.cancelled.insert(session);
-                st
-            }
-            None => match self.open.remove(&session) {
-                Some(st) => st,
-                None => return Err(ErrorCode::UnknownSession),
-            },
-        };
-        let player = st.player;
-        self.staged_closes.insert(session, st);
-        Ok(player)
-    }
-
-    /// Resolve a session as the staged control pass sees it: staged
-    /// closures are gone, staged admissions and open sessions resolve.
-    pub fn staged_player_of(&self, session: SessionId) -> Option<PlayerId> {
-        if self.staged_closes.contains_key(&session) {
-            return None;
-        }
-        self.open
-            .get(&session)
-            .or_else(|| self.staged_joins.get(&session))
-            .map(|st| st.player)
-    }
-
-    /// Promote every staged admission to open. Called when the staged
-    /// batch's tick executes — the previous tick has sealed, so the new
-    /// sessions become visible exactly one seal after they were minted,
-    /// same as the unpipelined path.
-    pub fn commit_staged_joins(&mut self) {
-        while let Some((session, st)) = self.staged_joins.pop_first() {
-            self.bindings = self.bindings.wrapping_add(binding_of(session, &st));
-            self.open.insert(session, st);
-        }
-    }
-
-    /// Issue the deferred receipt for a staged closure. `probes_now` is
-    /// the bound slot's probe counter *at execute time*, which matches
-    /// when the unpipelined control pass would have read it.
-    pub fn finish_close(
+    /// Close a session, reporting its cost. `probes_now` is the bound
+    /// slot's current probe counter.
+    pub fn leave(
         &mut self,
         session: SessionId,
         tick: u64,
         probes_now: u64,
-    ) -> Option<LeaveReceipt> {
-        let st = self.staged_closes.remove(&session)?;
-        if !self.cancelled.remove(&session) {
-            self.bindings = self.bindings.wrapping_sub(binding_of(session, &st));
-        }
+    ) -> Result<LeaveReceipt, ErrorCode> {
+        let st = self
+            .open
+            .remove(&session)
+            .ok_or(ErrorCode::UnknownSession)?;
+        self.bindings = self.bindings.wrapping_sub(binding_of(session, &st));
         self.ledgers = self
             .ledgers
             .wrapping_sub(checksum::ledger(session, st.posts, st.served));
         self.retired += 1;
-        Some(LeaveReceipt {
+        Ok(LeaveReceipt {
             player: st.player,
             probes: probes_now.saturating_sub(st.probes_at_join),
             posts: st.posts,
@@ -257,25 +145,11 @@ impl SessionRegistry {
         self.open.get(&session).map(|st| st.player)
     }
 
-    /// Mutable ledger access for a session. Staged closures are still
-    /// reachable (their ledger accumulates until the receipt is
-    /// issued), as are staged admissions (defensively — a staged batch
-    /// never executes data requests before it commits).
-    fn state_mut(&mut self, session: SessionId) -> Option<&mut SessionState> {
-        if self.open.contains_key(&session) {
-            return self.open.get_mut(&session);
-        }
-        if self.staged_closes.contains_key(&session) {
-            return self.staged_closes.get_mut(&session);
-        }
-        self.staged_joins.get_mut(&session)
-    }
-
     /// Charge one executed data request to a session's ledger: `served`
     /// goes up by one and `posts` by `posted`. A session that is no
     /// longer reachable (closed earlier in the same tick) is skipped.
     pub fn record_served(&mut self, session: SessionId, posted: u64) {
-        if let Some(st) = self.state_mut(session) {
+        if let Some(st) = self.open.get_mut(&session) {
             st.served += 1;
             st.posts += posted;
             self.ledgers = self
@@ -295,11 +169,9 @@ impl SessionRegistry {
         self.ledgers
     }
 
-    /// Sessions live for sealing purposes: open plus staged-to-close
-    /// (still live until their receipt is issued). Staged admissions
-    /// are not yet live.
+    /// Open sessions.
     pub fn live_count(&self) -> usize {
-        self.open.len() + self.staged_closes.len()
+        self.open.len()
     }
 
     /// Player slots minted so far (open + retired).
@@ -363,23 +235,17 @@ impl SessionRegistry {
             next_session,
             open,
             retired,
-            staged_joins: BTreeMap::new(),
-            staged_closes: BTreeMap::new(),
-            cancelled: BTreeSet::new(),
             bindings,
             ledgers,
         })
     }
 
     /// Seal the current liveness as a fault-layer epoch: a slot is live
-    /// iff it is bound to an open session — including sessions staged
-    /// to close by a not-yet-executed batch (they were open through the
-    /// sealing tick), and excluding staged admissions (not yet open).
-    /// `paid` is the per-slot probe counter vector captured at the same
-    /// barrier.
+    /// iff it is bound to an open session. `paid` is the per-slot probe
+    /// counter vector captured at the same barrier.
     pub fn liveness(&self, paid: Vec<u64>) -> LivenessEpoch {
         let mut dead = vec![true; self.capacity];
-        for st in self.open.values().chain(self.staged_closes.values()) {
+        for st in self.open.values() {
             dead[st.player] = false;
         }
         LivenessEpoch::from_parts(dead, paid, 0)
@@ -461,92 +327,39 @@ mod tests {
     }
 
     #[test]
-    fn checksum_terms_track_commits_and_closes() {
+    fn checksum_terms_track_joins_and_leaves() {
         let mut reg = SessionRegistry::new(4);
         let (s1, p1) = reg.join(3).unwrap();
         let one = checksum::binding(s1, p1 as u64, 3);
         assert_eq!(reg.bindings_checksum(), one);
-        // A staged join is not committed: no binding yet.
-        let (s2, p2) = reg.stage_join(4).unwrap();
-        assert_eq!(reg.bindings_checksum(), one);
-        reg.commit_staged_joins();
+        let (s2, p2) = reg.join(4).unwrap();
         let two = one.wrapping_add(checksum::binding(s2, p2 as u64, 4));
         assert_eq!(reg.bindings_checksum(), two);
-        // Joined and left inside one staged batch: never committed, so
-        // closing it must not subtract a binding that was never added.
-        let (s3, _) = reg.stage_join(5).unwrap();
-        reg.stage_leave(s3).unwrap();
-        reg.commit_staged_joins();
-        reg.finish_close(s3, 5, 0).unwrap();
+        // Joined and left inside one tick: the binding nets to zero,
+        // but the slot stays minted and the departure is counted.
+        let (s3, p3) = reg.join(5).unwrap();
+        let receipt = reg.leave(s3, 5, 0).unwrap();
+        assert_eq!((receipt.player, receipt.ticks), (p3, 0));
         assert_eq!(reg.bindings_checksum(), two);
-        // A staged leave keeps the binding until its receipt.
-        reg.stage_leave(s1).unwrap();
-        assert_eq!(reg.bindings_checksum(), two);
-        reg.finish_close(s1, 6, 0).unwrap();
+        assert_eq!(
+            (reg.live_count(), reg.slots_minted(), reg.retired()),
+            (2, 3, 1)
+        );
+        assert!(reg.liveness(vec![0; 4]).is_dead(p3));
+        reg.leave(s1, 6, 0).unwrap();
         reg.leave(s2, 6, 0).unwrap();
         assert_eq!((reg.bindings_checksum(), reg.ledgers_checksum()), (0, 0));
     }
 
     #[test]
-    fn staged_join_is_resolvable_but_not_live_until_commit() {
-        let mut reg = SessionRegistry::new(2);
-        let (s, p) = reg.stage_join(4).unwrap();
-        // Batch-internal resolution sees the new session...
-        assert_eq!(reg.staged_player_of(s), Some(p));
-        // ...but the seal does not: not open, not live.
-        assert_eq!(reg.player_of(s), None);
-        assert_eq!(reg.live_count(), 0);
-        assert!(reg.liveness(vec![0, 0]).is_dead(p));
-        // The slot IS minted — a concurrent seal must never see it
-        // handed out again.
-        assert_eq!(reg.slots_minted(), 1);
-        reg.commit_staged_joins();
-        assert_eq!(reg.player_of(s), Some(p));
-        assert_eq!(reg.live_count(), 1);
-        assert!(reg.liveness(vec![0, 0]).is_live(p));
-    }
-
-    #[test]
-    fn staged_leave_stays_live_until_receipt() {
-        let mut reg = SessionRegistry::new(1);
-        let (s, p) = reg.join(0).unwrap();
-        assert_eq!(reg.stage_leave(s), Ok(p));
-        // Batch-internal resolution: gone.
-        assert_eq!(reg.staged_player_of(s), None);
-        // Seal view: still live, ledger still reachable.
-        assert_eq!(reg.live_count(), 1);
-        assert!(reg.liveness(vec![0]).is_live(p));
-        reg.record_served(s, 1);
-        assert_eq!(reg.retired(), 0);
-        // Receipt at execute time reads the deferred ledger.
-        let receipt = reg.finish_close(s, 7, 3).unwrap();
-        assert_eq!((receipt.player, receipt.probes, receipt.posts), (p, 3, 1));
-        assert_eq!(receipt.ticks, 7);
-        assert_eq!(reg.retired(), 1);
-        assert_eq!(reg.live_count(), 0);
-    }
-
-    #[test]
-    fn same_batch_join_then_leave_cancels_before_liveness() {
-        let mut reg = SessionRegistry::new(2);
-        let (s, p) = reg.stage_join(2).unwrap();
-        assert_eq!(reg.stage_leave(s), Ok(p));
-        // Never open, so never live — but the slot stays minted and the
-        // closure still produces a receipt and a retirement.
-        assert_eq!(reg.live_count(), 1, "staged closure counts as live");
-        assert_eq!(reg.slots_minted(), 1);
-        let receipt = reg.finish_close(s, 2, 0).unwrap();
-        assert_eq!((receipt.player, receipt.ticks), (p, 0));
-        // Double-staging the same closure is UnknownSession, not a panic.
-        assert_eq!(reg.stage_leave(s), Err(ErrorCode::UnknownSession));
-        assert_eq!(reg.finish_close(s, 3, 0), None);
-    }
-
-    #[test]
-    fn double_stage_leave_is_unknown() {
+    fn a_closed_session_no_longer_resolves_or_accrues() {
         let mut reg = SessionRegistry::new(1);
         let (s, _) = reg.join(0).unwrap();
-        reg.stage_leave(s).unwrap();
-        assert_eq!(reg.stage_leave(s), Err(ErrorCode::UnknownSession));
+        reg.leave(s, 1, 0).unwrap();
+        assert_eq!(reg.player_of(s), None);
+        // A data request that executes after its session's leave in the
+        // same tick is skipped by the ledgers.
+        reg.record_served(s, 1);
+        assert_eq!(reg.ledgers_checksum(), 0);
     }
 }

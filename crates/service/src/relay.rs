@@ -53,12 +53,8 @@
 //! for the laggard the next control checksum trips the gate —
 //! at-most-once delivery, detected rather than papered over.
 //!
-//! ## Caveats (documented divergences from the single process)
+//! ## Caveat (a documented divergence from the single process)
 //!
-//! * The relay's backpressure check is the *unpipelined* shape
-//!   (`queue.len() >= capacity`, no staged-batch occupancy) — identical
-//!   behaviour except in the one-tick window where a pipelined single
-//!   process would count staged entries against capacity.
 //! * `Stats.tick` reports the relay's tick and `Stats.served/rejected`
 //!   the relay's counters; per-shard service counters (process-local,
 //!   excluded from digests) are not summed.

@@ -1,59 +1,46 @@
 //! The service core: a bounded request queue drained in deterministic
 //! batch ticks.
 //!
-//! ## The tick pipeline
+//! ## The tick
 //!
 //! ```text
-//! submit ──► bounded queue ──► [tick] 1. control pass   (serial, arrival order)
-//!    │                                2. data pass      (players parallel,
-//!    │ reads                          │                  seeded order per player)
-//!    ▼                                3. seal            (epoch++, snapshot swap)
-//! snapshot ◄──────────────────────────┘ 4. deliver       (arrival order)
+//! submit ──► bounded queue ──► [tick] 1. drain         (≤ batch_size, arrival order)
+//!    │                                2. control pass  (serial, arrival order)
+//!    │ reads                          3. write-ahead   (durable services only)
+//!    │                                4. data pass     (player groups ascending,
+//!    ▼                                │                 seeded order per player)
+//! snapshot ◄──────────────────────────┘ 5. seal        (epoch++, snapshot swap)
+//!                                     6. deliver       (arrival order)
 //! ```
 //!
 //! **Determinism argument.** A tick's output is a pure function of the
-//! queue contents at drain time, independent of worker-thread count:
+//! queue contents at drain time:
 //!
-//! * the *control pass* (Join/Leave/Shutdown) runs serially in arrival
-//!   (sequence-number) order, so slot assignment and admission never
-//!   race;
-//! * the *data pass* groups Probe/Post by resolved player slot. Groups
-//!   run in parallel via [`par_map_phased`] — but distinct groups touch
-//!   **disjoint** player memos and counters, and within a group
-//!   requests execute serially in an order keyed by
-//!   `derive(seed, SERVICE_TICK, seq)` (the "seeded tick order"), so no
-//!   observable value depends on scheduling. Per-group posts are
-//!   buffered and flushed with one `post_batch` call (lock
-//!   amortization); the snapshot sorts per key, so post arrival order
-//!   is invisible;
-//! * the *seal* happens at a barrier after every group has finished:
-//!   epoch advance, then one [`BoardSnapshot`] sealed **incrementally**
-//!   (the previous snapshot plus exactly this tick's posts — pages of
-//!   the post table the tick did not touch carry over as `Arc` bumps)
-//!   and swapped in;
+//! * the *control pass* applies Join/Leave/Shutdown to the registry in
+//!   arrival (sequence-number) order, so slot assignment and admission
+//!   are fixed by the batch alone;
+//! * the *data pass* groups Probe/Post by the player slot their session
+//!   resolves to after the control pass, and runs the groups in
+//!   ascending slot order. Within a group requests execute in an order
+//!   keyed by `derive(seed, SERVICE_TICK, seq)` (the "seeded tick
+//!   order"). The tick's posts reach the billboard in one `post_batch`;
+//!   the snapshot sorts per key, so post arrival order is invisible;
+//! * the *seal* advances the epoch and swaps in one [`BoardSnapshot`]
+//!   sealed **incrementally** (the previous snapshot plus exactly this
+//!   tick's posts — pages of the post table the tick did not touch
+//!   carry over as `Arc` bumps);
 //! * *delivery* walks the batch in arrival order.
 //!
-//! ## Pipelining
-//!
-//! With [`ServiceConfig::pipeline`] on (the default), the serial
-//! control pass for tick `T+1` runs on a helper thread **while tick
-//! `T`'s parallel data pass is still executing**: the queue is drained
-//! into a [`PreparedBatch`] whose control decisions are *staged* in the
-//! registry (see `registry.rs` — staged joins resolve inside the batch
-//! but stay invisible to `T`'s seal; staged leaves stay live for it).
-//! The staged batch is committed at the top of tick `T+1`, which is
-//! exactly when the unpipelined control pass would have run, so every
-//! transcript is **byte-identical** to the unpipelined path — the same
-//! discipline the fault layer's `LivenessEpoch` schedule-equivalence
-//! uses. Requests that arrive after staging top the batch up at commit
-//! time, so batch composition matches the unpipelined drain exactly.
+//! Every stage runs on the thread that calls [`Service::tick`], and no
+//! tick starts a thread. A tick carries at most one write per session
+//! (about 51 on the serving benchmark's `board_large`), far too little
+//! work to pay for starting workers: the serial tick's p50 is less than
+//! half of what it was with a parallel data pass (DESIGN.md §11).
 //!
 //! Backpressure is explicit: `submit` on a full queue returns
 //! [`Response::Busy`] with a retry hint instead of buffering without
-//! bound; a staged batch still counts against the queue bound (it is
-//! merely queued work whose control pass ran early). Reads
-//! (`Read`/`Recommend`/`Stats`) bypass the queue entirely and are
-//! answered from the latest sealed snapshot.
+//! bound. Reads (`Read`/`Recommend`/`Stats`) bypass the queue entirely
+//! and are answered from the latest sealed snapshot.
 
 use crate::checksum::{self, Checksum, Scalars};
 use crate::registry::{SessionRegistry, SessionState};
@@ -63,10 +50,10 @@ use crate::wire::{object_in_range, ErrorCode, Request, Response, SessionId};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, VecDeque};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::Arc;
-use tmwia_billboard::{par_map_phased, Billboard, PlayerId, ProbeEngine};
+use tmwia_billboard::{Billboard, PlayerId, ProbeEngine};
 use tmwia_model::matrix::PrefMatrix;
 use tmwia_model::rng::{derive, tags};
 use tmwia_obs::metrics::namespace_fingerprint;
@@ -91,10 +78,6 @@ pub struct ServiceConfig {
     pub retry_after_ticks: u32,
     /// Upper bound on `Recommend` list length.
     pub recommend_cap: u16,
-    /// Overlap tick `T+1`'s control pass with tick `T`'s data pass.
-    /// Transcripts are byte-identical either way (see module docs);
-    /// off is useful as the equivalence oracle and for debugging.
-    pub pipeline: bool,
 }
 
 impl Default for ServiceConfig {
@@ -105,7 +88,6 @@ impl Default for ServiceConfig {
             seed: 1,
             retry_after_ticks: 1,
             recommend_cap: 32,
-            pipeline: true,
         }
     }
 }
@@ -243,44 +225,21 @@ struct Pending {
     reply: ReplySender,
 }
 
-/// A drained batch whose serial control pass has already run. Built
-/// either just-in-time at the top of a tick (unpipelined, or nothing
-/// was staged) or ahead of time on the staging thread while the
-/// previous tick's data pass executes. Registry effects are *staged*
-/// (see `registry.rs`) and commit when the batch executes.
-struct PreparedBatch {
-    /// The tick this batch will execute as. Staged batches are built
-    /// for `current + 1`; the counter only advances in `tick`, so the
-    /// next tick call picks the staged batch up under that number.
-    tick_no: u64,
-    batch: Vec<Pending>,
-    /// Control-pass responses by batch index (`None` = data request or
-    /// deferred leave, filled in later).
-    responses: Vec<Option<Response>>,
-    /// Data requests grouped by resolved player slot (unsorted; the
-    /// seeded tick order is applied at execute time, after any top-up).
-    groups: BTreeMap<PlayerId, Vec<usize>>,
-    /// Successfully staged leaves: `(batch index, session, player)`.
-    /// Their receipts read the probe ledger at execute time, which is
-    /// when the unpipelined control pass would have read it.
-    deferred_leaves: Vec<(usize, SessionId, PlayerId)>,
-    /// Batch contains a `Shutdown`; the flag flips at execute time.
-    shutdown: bool,
-}
-
-impl PreparedBatch {
-    fn new(tick_no: u64, batch: Vec<Pending>) -> Self {
-        let mut responses = Vec::with_capacity(batch.len());
-        responses.resize_with(batch.len(), || None);
-        PreparedBatch {
-            tick_no,
-            batch,
-            responses,
-            groups: BTreeMap::new(),
-            deferred_leaves: Vec::new(),
-            shutdown: false,
-        }
-    }
+/// What a tick's data pass hands to its seal.
+#[derive(Default)]
+struct DataPass {
+    /// The tick's posts `(object, player, grade)`, grouped by ascending
+    /// player — the incremental seal's delta.
+    posts: Vec<(u32, PlayerId, bool)>,
+    /// One `(session, posted)` per executed data request, for the
+    /// session ledgers.
+    served: Vec<(SessionId, u64)>,
+    /// Charged probes.
+    paid: u64,
+    /// Memoized (free) probes.
+    memoized: u64,
+    /// Σ paid-probe checksum terms (post terms are added at the seal).
+    board_delta: u64,
 }
 
 /// The long-lived serving state. `Sync`: transports submit from any
@@ -306,13 +265,6 @@ pub struct Service {
     /// Deterministic metrics + event trace. Shared (`Arc`) so the WAL
     /// writer and snapshot cell can stamp their own counters/events.
     obs: Arc<ObsRegistry>,
-    /// The next tick's batch, control pass already staged.
-    staged: Mutex<Option<PreparedBatch>>,
-    /// Requests held in `staged`. Maintained under the queue lock so
-    /// `queue.len() + staged_len` — the quantity backpressure and drain
-    /// loops observe — always equals what the unpipelined queue length
-    /// would be.
-    staged_len: AtomicUsize,
     /// The board's share of the state checksum: Σ paid-probe terms
     /// (probe counters and memo entries) plus Σ post entries, added at
     /// the seal barrier (see `checksum.rs`).
@@ -361,8 +313,6 @@ impl Service {
             shutdown: AtomicBool::new(false),
             durable: None,
             obs,
-            staged: Mutex::new(None),
-            staged_len: AtomicUsize::new(0),
             board_checksum: AtomicU64::new(0),
         })
     }
@@ -673,13 +623,9 @@ impl Service {
         self.shutdown.store(true, Ordering::SeqCst);
     }
 
-    /// Requests currently queued, including a staged-but-unexecuted
-    /// batch — staged work is still pending work, so drain loops
-    /// (`while queue_len() > 0 { tick() }`) and backpressure see the
-    /// same count the unpipelined service would report.
+    /// Requests currently queued (the count backpressure checks).
     pub fn queue_len(&self) -> usize {
-        let queue = self.queue.lock();
-        queue.len() + self.staged_len.load(Ordering::Relaxed)
+        self.queue.lock().len()
     }
 
     /// Requests served (queued writes executed + snapshot reads).
@@ -776,8 +722,7 @@ impl Service {
                     let _ = reply.send((id, Response::ShuttingDown));
                     return;
                 }
-                if queue.len() + self.staged_len.load(Ordering::Relaxed) >= self.cfg.queue_capacity
-                {
+                if queue.len() >= self.cfg.queue_capacity {
                     drop(queue);
                     self.rejected.fetch_add(1, Ordering::Relaxed);
                     self.obs.inc(MetricId::RequestsRejected);
@@ -855,8 +800,8 @@ impl Service {
     /// The incrementally maintained state checksum, split into its
     /// replicated and owned parts (see `checksum.rs`). O(1): the scalars
     /// are hashed here, every other term is kept up to date where the
-    /// state changes. Whenever no batch is staged it equals
-    /// [`Checksum::of`] over [`Service::digest_parts`].
+    /// state changes. Between ticks it equals [`Checksum::of`] over
+    /// [`Service::digest_parts`].
     pub fn checksum(&self) -> Checksum {
         let reg = self.registry.lock();
         let snap = self.snapshot();
@@ -879,8 +824,8 @@ impl Service {
     }
 
     /// The single 64-bit state checksum: [`Service::checksum`] at this
-    /// service's sequence position. Whenever no batch is staged it
-    /// equals `Checksum::of(&parts).total(parts.seq)` for
+    /// service's sequence position. Between ticks it equals
+    /// `Checksum::of(&parts).total(parts.seq)` for
     /// `parts = self.digest_parts()`.
     pub fn state_checksum(&self) -> u64 {
         self.checksum().total(self.next_seq())
@@ -982,7 +927,7 @@ impl Service {
         self.next_seq.load(Ordering::Relaxed)
     }
 
-    /// Execute one batch tick (see module docs for the pipeline).
+    /// Execute one batch tick on the calling thread (see module docs).
     /// Exactly one driver thread may call this at a time.
     pub fn tick(&self) -> TickReport {
         self.tick_inner(false)
@@ -1001,164 +946,33 @@ impl Service {
     }
 
     fn tick_inner(&self, seal_empty: bool) -> TickReport {
-        let staged = self.staged.lock().take();
-        let (pb, remaining) = if let Some(mut pb) = staged {
-            // A batch staged at the previous tick's barrier. Top it up
-            // to batch_size with requests that arrived after staging
-            // and clear the staged occupancy — together this is the
-            // moment the unpipelined drain would have happened, and it
-            // reconstructs that drain's batch composition exactly.
-            let (extras, remaining) = {
-                let mut queue = self.queue.lock();
-                let take = (self.cfg.batch_size - pb.batch.len()).min(queue.len());
-                let extras: Vec<Pending> = queue.drain(..take).collect();
-                self.staged_len.store(0, Ordering::Relaxed);
-                (extras, queue.len())
-            };
-            // The counter only advances here, so it lands on the value
-            // the batch was staged for (`pb.tick_no`).
-            let _ = self.tick.fetch_add(1, Ordering::Relaxed);
-            self.obs.set_max(MetricId::TicksExecuted, pb.tick_no);
-            if !extras.is_empty() {
-                let from = pb.batch.len();
-                pb.batch.extend(extras);
-                pb.responses.resize_with(pb.batch.len(), || None);
-                let mut reg = self.registry.lock();
-                self.control_pass(&mut pb, &mut reg, from);
-            }
-            (pb, remaining)
-        } else {
-            let (batch, remaining) = {
-                let mut queue = self.queue.lock();
-                let take = self.cfg.batch_size.min(queue.len());
-                let batch: Vec<Pending> = queue.drain(..take).collect();
-                (batch, queue.len())
-            };
-            let tick_no = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
-            self.obs.set_max(MetricId::TicksExecuted, tick_no);
-            if batch.is_empty() && !seal_empty {
-                return TickReport {
-                    tick: tick_no,
-                    executed: 0,
-                    remaining,
-                    sealed_epoch: None,
-                };
-            }
-            let mut pb = PreparedBatch::new(tick_no, batch);
-            if !pb.batch.is_empty() {
-                let mut reg = self.registry.lock();
-                self.control_pass(&mut pb, &mut reg, 0);
-            }
-            (pb, remaining)
-        };
-        self.execute(pb, remaining)
-    }
-
-    /// Phase 1 — the serial control pass over `pb.batch[from..]`, in
-    /// arrival (sequence) order. Registry effects are *staged*: joins
-    /// resolve for later requests in this batch but stay invisible to
-    /// any seal that runs before the batch commits; leaves disappear
-    /// for later requests but stay live for that seal, their receipts
-    /// deferred to execute time. Groups data requests by player slot
-    /// as resolved AFTER the controls, so a Join and a Probe on the
-    /// new session in one batch compose.
-    fn control_pass(&self, pb: &mut PreparedBatch, reg: &mut SessionRegistry, from: usize) {
-        for i in from..pb.batch.len() {
-            match &pb.batch[i].req {
-                Request::Join => {
-                    pb.responses[i] = Some(match reg.stage_join(pb.tick_no) {
-                        Ok((session, player)) => Response::Joined {
-                            session,
-                            player: player as u32,
-                        },
-                        Err(code) => Response::Error {
-                            code,
-                            detail: "no free player slots (slots are never reused)".into(),
-                        },
-                    });
-                }
-                Request::Leave { session } => match reg.stage_leave(*session) {
-                    Ok(player) => pb.deferred_leaves.push((i, *session, player)),
-                    Err(code) => {
-                        pb.responses[i] = Some(Response::Error {
-                            code,
-                            detail: format!("session {session} is not open"),
-                        });
-                    }
-                },
-                Request::Shutdown => {
-                    // The flag flips at execute time (never observable
-                    // earlier: the batch ahead of it executes first).
-                    pb.shutdown = true;
-                    pb.responses[i] = Some(Response::ShuttingDown);
-                }
-                Request::Probe { session, .. } | Request::Post { session, .. } => {
-                    match reg.staged_player_of(*session) {
-                        Some(player) => pb.groups.entry(player).or_default().push(i),
-                        None => {
-                            pb.responses[i] = Some(Response::Error {
-                                code: ErrorCode::UnknownSession,
-                                detail: format!("session {session} is not open"),
-                            });
-                        }
-                    }
-                }
-                // Reads never reach the queue (submit answers them).
-                Request::Read { .. }
-                | Request::Recommend { .. }
-                | Request::Stats
-                | Request::Metrics => {
-                    pb.responses[i] = Some(Response::Error {
-                        code: ErrorCode::BadRequest,
-                        detail: "read requests are never queued".into(),
-                    });
-                }
-            }
-        }
-    }
-
-    /// Drain and prepare the next tick's batch. Runs on the staging
-    /// thread while the current tick's data pass executes; the drained
-    /// requests keep counting against the queue bound via `staged_len`.
-    fn stage_next(&self, current_tick: u64) {
-        let batch: Vec<Pending> = {
+        let (batch, remaining) = {
             let mut queue = self.queue.lock();
             let take = self.cfg.batch_size.min(queue.len());
-            if take == 0 {
-                return;
-            }
-            let batch = queue.drain(..take).collect();
-            self.staged_len.store(take, Ordering::Relaxed);
-            batch
+            let batch: Vec<Pending> = queue.drain(..take).collect();
+            (batch, queue.len())
         };
-        let mut pb = PreparedBatch::new(current_tick + 1, batch);
-        {
-            let mut reg = self.registry.lock();
-            self.control_pass(&mut pb, &mut reg, 0);
+        let tick_no = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
+        self.obs.set_max(MetricId::TicksExecuted, tick_no);
+        if batch.is_empty() && !seal_empty {
+            return TickReport {
+                tick: tick_no,
+                executed: 0,
+                remaining,
+                sealed_epoch: None,
+            };
         }
-        *self.staged.lock() = Some(pb);
-    }
 
-    /// Phases 2–4 for a prepared batch (never empty): commit the staged
-    /// controls, write-ahead, data pass (overlapped with staging the
-    /// next batch), incremental seal, delivery. `remaining` is the
-    /// queue length captured at the drain.
-    fn execute(&self, pb: PreparedBatch, remaining: usize) -> TickReport {
-        let PreparedBatch {
-            tick_no,
-            batch,
-            mut responses,
-            mut groups,
-            deferred_leaves,
-            shutdown,
-        } = pb;
+        let mut responses: Vec<Option<Response>> = Vec::with_capacity(batch.len());
+        responses.resize_with(batch.len(), || None);
+        let (groups, shutdown) = self.control_pass(tick_no, &batch, &mut responses);
 
         // Write-ahead: the canonical batch is durable (fsynced) before
-        // anything executes. Replayed ticks are already on disk and are
-        // skipped by the writer's high-water mark. Empty ticks reach
-        // this point only via `tick_sealed` (shard mode), which logs
-        // them as zero-entry records so replay re-seals every epoch;
-        // ordinary `tick` never logs empty ticks (recovery
+        // any data request executes. Replayed ticks are already on disk
+        // and are skipped by the writer's high-water mark. Empty ticks
+        // reach this point only via `tick_sealed` (shard mode), which
+        // logs them as zero-entry records so replay re-seals every
+        // epoch; ordinary `tick` never logs empty ticks (recovery
         // fast-forwards over the gaps).
         if let Some(d) = &self.durable {
             if d.error.lock().is_none() {
@@ -1172,54 +986,116 @@ impl Service {
         if let Some(last) = batch.last() {
             self.sealed_seq.store(last.seq + 1, Ordering::Relaxed);
         }
-
-        // Commit the staged control decisions — this is when the
-        // unpipelined control pass would have run: joins become open
-        // (visible to this tick's seal), leave receipts read the probe
-        // ledger as of this barrier.
-        {
-            let mut reg = self.registry.lock();
-            reg.commit_staged_joins();
-            for &(i, session, player) in &deferred_leaves {
-                let probes_now = self.engine.probes_of(player);
-                responses[i] = Some(match reg.finish_close(session, tick_no, probes_now) {
-                    Some(receipt) => Response::Left {
-                        probes: receipt.probes,
-                        posts: receipt.posts,
-                        ticks: receipt.ticks,
-                    },
-                    None => Response::Error {
-                        code: ErrorCode::UnknownSession,
-                        detail: format!("session {session} is not open"),
-                    },
-                });
-            }
-        }
         if shutdown {
             // Stored under the queue lock, like `request_shutdown`, so
             // no submit can slip an unseen write past the flag.
             let _queue = self.queue.lock();
             self.shutdown.store(true, Ordering::SeqCst);
         }
-        // Session churn, counted at the commit barrier (the moment the
-        // control decisions become real) from the committed responses.
-        let (admitted, closed) = responses
-            .iter()
-            .flatten()
-            .fold((0u64, 0u64), |acc, r| match r {
-                Response::Joined { .. } => (acc.0 + 1, acc.1),
-                Response::Left { .. } => (acc.0, acc.1 + 1),
-                _ => acc,
+
+        let data = self.data_pass(&batch, groups, &mut responses);
+        let sealed_epoch = self.seal(tick_no, data);
+
+        // Deliver in arrival order. A send error means the client went
+        // away; the churn-safe teardown path (transport auto-Leave)
+        // reclaims its sessions.
+        for (p, resp) in batch.iter().zip(responses) {
+            let resp = resp.unwrap_or_else(|| Response::Error {
+                code: ErrorCode::BadRequest,
+                detail: "request fell through the tick".into(),
             });
+            let _ = p.reply.send((p.id, resp));
+        }
+        self.served.fetch_add(batch.len() as u64, Ordering::Relaxed);
+
+        TickReport {
+            tick: tick_no,
+            executed: batch.len(),
+            remaining,
+            sealed_epoch: Some(sealed_epoch),
+        }
+    }
+
+    /// The serial control pass, in arrival (sequence) order: joins and
+    /// leaves take effect in the registry at once, so a data request
+    /// later in the batch resolves against them (a Join and a Probe on
+    /// the new session compose; a Probe after a Leave gets
+    /// `UnknownSession`). Fills the control responses and returns the
+    /// data requests grouped by player slot (each group in the seeded
+    /// tick order) and whether the batch holds a `Shutdown`.
+    fn control_pass(
+        &self,
+        tick_no: u64,
+        batch: &[Pending],
+        responses: &mut [Option<Response>],
+    ) -> (BTreeMap<PlayerId, Vec<usize>>, bool) {
+        let mut groups: BTreeMap<PlayerId, Vec<usize>> = BTreeMap::new();
+        let mut shutdown = false;
+        let (mut admitted, mut closed) = (0u64, 0u64);
+        let mut reg = self.registry.lock();
+        for (i, p) in batch.iter().enumerate() {
+            responses[i] = match &p.req {
+                Request::Join => Some(match reg.join(tick_no) {
+                    Ok((session, player)) => {
+                        admitted += 1;
+                        Response::Joined {
+                            session,
+                            player: player as u32,
+                        }
+                    }
+                    Err(code) => Response::Error {
+                        code,
+                        detail: "no free player slots (slots are never reused)".into(),
+                    },
+                }),
+                Request::Leave { session } => {
+                    let probes_now = reg
+                        .player_of(*session)
+                        .map_or(0, |player| self.engine.probes_of(player));
+                    Some(match reg.leave(*session, tick_no, probes_now) {
+                        Ok(receipt) => {
+                            closed += 1;
+                            Response::Left {
+                                probes: receipt.probes,
+                                posts: receipt.posts,
+                                ticks: receipt.ticks,
+                            }
+                        }
+                        Err(code) => Response::Error {
+                            code,
+                            detail: format!("session {session} is not open"),
+                        },
+                    })
+                }
+                Request::Shutdown => {
+                    shutdown = true;
+                    Some(Response::ShuttingDown)
+                }
+                Request::Probe { session, .. } | Request::Post { session, .. } => {
+                    match reg.player_of(*session) {
+                        Some(player) => {
+                            groups.entry(player).or_default().push(i);
+                            None
+                        }
+                        None => Some(Response::Error {
+                            code: ErrorCode::UnknownSession,
+                            detail: format!("session {session} is not open"),
+                        }),
+                    }
+                }
+                // Reads never reach the queue (submit answers them).
+                Request::Read { .. }
+                | Request::Recommend { .. }
+                | Request::Stats
+                | Request::Metrics => Some(Response::Error {
+                    code: ErrorCode::BadRequest,
+                    detail: "read requests are never queued".into(),
+                }),
+            };
+        }
+        drop(reg);
         self.obs.add(MetricId::SessionsAdmitted, admitted);
         self.obs.add(MetricId::SessionsClosed, closed);
-
-        // Phase 2 — data pass. Seeded tick order within each player's
-        // group; groups in ascending player order, executed in parallel
-        // (disjoint player state ⇒ schedule-independent). While it
-        // runs, the staging thread prepares the NEXT tick's control
-        // pass — except when this tick owes a persisted snapshot, whose
-        // capture must see a registry with no staged decisions in it.
         for idxs in groups.values_mut() {
             idxs.sort_by_key(|&i| {
                 (
@@ -1228,212 +1104,150 @@ impl Service {
                 )
             });
         }
-        let group_list: Vec<(PlayerId, Vec<usize>)> = groups.into_iter().collect();
-        let snapshot_due = self.durable.as_ref().is_some_and(|d| {
-            d.snapshot_every > 0
-                && tick_no.saturating_sub(d.last_snapshot.load(Ordering::Relaxed))
-                    >= d.snapshot_every
-        });
-        let results = if self.cfg.pipeline && !snapshot_due {
-            std::thread::scope(|s| {
-                let stager = s.spawn(|| self.stage_next(tick_no));
-                let results = self.data_pass(&batch, &group_list);
-                match stager.join() {
-                    Ok(()) => results,
-                    Err(panic) => std::panic::resume_unwind(panic),
-                }
-            })
-        } else {
-            if self.cfg.pipeline {
-                // Pipelining is on but this tick owes a persisted
-                // snapshot, so staging stalled for one tick.
-                self.obs.inc(MetricId::PipelineStalls);
-            }
-            self.data_pass(&batch, &group_list)
-        };
-
-        // Phase 3 — bookkeeping + incremental seal at the post-data
-        // barrier. Liveness and live counts read through the staged
-        // overlay: sessions the just-staged batch will close are still
-        // live here, sessions it admits are not yet.
-        let sealed_epoch = {
-            let mut reg = self.registry.lock();
-            for (group, _) in &results {
-                for &(i, _, posted) in group {
-                    if let Request::Probe { session, .. } | Request::Post { session, .. } =
-                        &batch[i].req
-                    {
-                        reg.record_served(*session, posted);
-                    }
-                }
-            }
-            let mut tick_posts: Vec<(u32, PlayerId, bool)> = Vec::new();
-            let (mut paid, mut memoized) = (0u64, 0u64);
-            let mut board_delta = 0u64;
-            for ((group, posts), (player, _)) in results.into_iter().zip(&group_list) {
-                for (i, resp, _) in group {
-                    if let Response::Grade {
-                        object, charged, ..
-                    } = &resp
-                    {
-                        if *charged {
-                            paid += 1;
-                            board_delta = board_delta.wrapping_add(checksum::paid_probe(
-                                *player as u64,
-                                u64::from(*object),
-                            ));
-                        } else {
-                            memoized += 1;
-                        }
-                    }
-                    responses[i] = Some(resp);
-                }
-                tick_posts.extend(posts);
-            }
-            for &(j, p, g) in &tick_posts {
-                board_delta = board_delta.wrapping_add(checksum::post(u64::from(j), p as u64, g));
-            }
-            self.board_checksum
-                .fetch_add(board_delta, Ordering::Relaxed);
-            self.obs.add(MetricId::ProbesPaid, paid);
-            self.obs.add(MetricId::ProbesMemoized, memoized);
-            self.obs
-                .add(MetricId::PostsPublished, tick_posts.len() as u64);
-            // Fault-attributed probe outcomes are cumulative engine
-            // totals, so sample them monotonically (fault-free engines
-            // skip the O(n) walk entirely).
-            if let Some(f) = self.engine.fault_state() {
-                let (mut flipped, mut denied) = (0u64, 0u64);
-                for p in 0..self.engine.n() {
-                    flipped += f.flipped_of(p);
-                    denied += f.denied_of(p);
-                }
-                self.obs.set_max(MetricId::ProbesFlipped, flipped);
-                self.obs.set_max(MetricId::ProbesDenied, denied);
-            }
-            let epoch = self.board.advance_epoch();
-            let paid: Vec<u64> = (0..self.engine.n())
-                .map(|p| self.engine.probes_of(p))
-                .collect();
-            let liveness = reg.liveness(paid);
-            let live = reg.live_count() as u32;
-            let prev = self.snapshot.load();
-            self.snapshot.store(BoardSnapshot::build_delta(
-                &prev,
-                &tick_posts,
-                liveness,
-                live,
-                epoch,
-                tick_no,
-            ));
-
-            // Periodic sealed-state persistence: capture under the
-            // registry lock (the same barrier the snapshot seals at),
-            // write-tmp-then-rename off to the side. Staging stalled
-            // for this tick, so the captured registry is exactly the
-            // sealed state.
-            if let Some(d) = &self.durable {
-                if snapshot_due && d.error.lock().is_none() {
-                    let state = self.capture_state(&reg, epoch, tick_no);
-                    match wal::write_snapshot(&d.dir, &state) {
-                        Ok(()) => {
-                            d.last_snapshot.store(tick_no, Ordering::Relaxed);
-                            self.obs.inc(MetricId::SnapshotsSealed);
-                            self.obs.record(Event::SnapshotWritten { tick: tick_no });
-                        }
-                        Err(e) => *d.error.lock() = Some(e.to_string()),
-                    }
-                }
-            }
-            epoch
-        };
-
-        // Phase 4 — deliver in arrival order. A send error means the
-        // client went away; the churn-safe teardown path (transport
-        // auto-Leave) reclaims its sessions.
-        let mut executed = 0usize;
-        for (i, p) in batch.iter().enumerate() {
-            let resp = responses[i].take().unwrap_or_else(|| Response::Error {
-                code: ErrorCode::BadRequest,
-                detail: "request fell through the tick pipeline".into(),
-            });
-            let _ = p.reply.send((p.id, resp));
-            executed += 1;
-        }
-        self.served.fetch_add(executed as u64, Ordering::Relaxed);
-
-        TickReport {
-            tick: tick_no,
-            executed,
-            remaining,
-            sealed_epoch: Some(sealed_epoch),
-        }
+        (groups, shutdown)
     }
 
-    /// The per-player parallel pass. Returns, per group, the responses
-    /// (tagged with batch index and a posted flag) and the posts the
-    /// group contributed — the seal's delta input.
-    #[allow(clippy::type_complexity)]
+    /// The data pass: player groups in ascending slot order, each in
+    /// its seeded tick order. Fills the groups' responses and posts the
+    /// tick's grades to the billboard in one batch.
     fn data_pass(
         &self,
         batch: &[Pending],
-        group_list: &[(PlayerId, Vec<usize>)],
-    ) -> Vec<(Vec<(usize, Response, u64)>, Vec<(u32, PlayerId, bool)>)> {
+        groups: BTreeMap<PlayerId, Vec<usize>>,
+        responses: &mut [Option<Response>],
+    ) -> DataPass {
         let m = self.m();
-        par_map_phased(&self.engine, group_list.len(), |g| {
-            let (player, idxs) = &group_list[g];
-            let handle = self.engine.player(*player);
-            let mut out = Vec::with_capacity(idxs.len());
-            let mut posts: Vec<(u32, PlayerId, bool)> = Vec::new();
-            for &i in idxs {
-                match &batch[i].req {
-                    Request::Probe { object, share, .. } => {
-                        let Some(j) = object_in_range(*object, m) else {
-                            out.push((i, object_error(*object, m), 0));
-                            continue;
-                        };
-                        let charged = !handle.already_probed(j);
-                        let value = handle.probe(j);
-                        if *share {
-                            posts.push((*object, *player, value));
-                        }
-                        out.push((
-                            i,
-                            Response::Grade {
+        let epoch = self.board.epoch();
+        let mut out = DataPass::default();
+        for (player, idxs) in groups {
+            let handle = self.engine.player(player);
+            for i in idxs {
+                let (session, resp, posted) = match &batch[i].req {
+                    Request::Probe {
+                        session,
+                        object,
+                        share,
+                    } => match object_in_range(*object, m) {
+                        None => (*session, object_error(*object, m), false),
+                        Some(j) => {
+                            let charged = !handle.already_probed(j);
+                            let value = handle.probe(j);
+                            if charged {
+                                out.paid += 1;
+                                out.board_delta = out.board_delta.wrapping_add(
+                                    checksum::paid_probe(player as u64, u64::from(*object)),
+                                );
+                            } else {
+                                out.memoized += 1;
+                            }
+                            if *share {
+                                out.posts.push((*object, player, value));
+                            }
+                            let resp = Response::Grade {
                                 object: *object,
                                 value,
                                 charged,
                                 posted: *share,
-                            },
-                            u64::from(*share),
-                        ));
-                    }
-                    Request::Post { object, grade, .. } => {
-                        if object_in_range(*object, m).is_none() {
-                            out.push((i, object_error(*object, m), 0));
-                            continue;
+                            };
+                            (*session, resp, *share)
                         }
-                        posts.push((*object, *player, *grade));
-                        out.push((
-                            i,
-                            Response::Posted {
+                    },
+                    Request::Post {
+                        session,
+                        object,
+                        grade,
+                    } => match object_in_range(*object, m) {
+                        None => (*session, object_error(*object, m), false),
+                        Some(_) => {
+                            out.posts.push((*object, player, *grade));
+                            let resp = Response::Posted {
                                 object: *object,
-                                epoch: self.board.epoch(),
-                            },
-                            1,
-                        ));
+                                epoch,
+                            };
+                            (*session, resp, true)
+                        }
+                    },
+                    // The control pass groups only Probe and Post.
+                    _ => continue,
+                };
+                out.served.push((session, u64::from(posted)));
+                responses[i] = Some(resp);
+            }
+        }
+        if !out.posts.is_empty() {
+            // One lock trip per tick. Board reads sort each object's
+            // entries, so the push order is not observable.
+            self.board.post_batch(out.posts.iter().copied());
+        }
+        out
+    }
+
+    /// The seal: charge the session ledgers, fold the tick into the
+    /// board checksum and the metrics, advance the epoch, seal the next
+    /// snapshot incrementally from the previous one, and persist a
+    /// state snapshot when one is due. Returns the sealed epoch.
+    fn seal(&self, tick_no: u64, data: DataPass) -> u64 {
+        let mut reg = self.registry.lock();
+        for &(session, posted) in &data.served {
+            reg.record_served(session, posted);
+        }
+        let board_delta = data.posts.iter().fold(data.board_delta, |acc, &(j, p, g)| {
+            acc.wrapping_add(checksum::post(u64::from(j), p as u64, g))
+        });
+        self.board_checksum
+            .fetch_add(board_delta, Ordering::Relaxed);
+        self.obs.add(MetricId::ProbesPaid, data.paid);
+        self.obs.add(MetricId::ProbesMemoized, data.memoized);
+        self.obs
+            .add(MetricId::PostsPublished, data.posts.len() as u64);
+        // Fault-attributed probe outcomes are cumulative engine totals,
+        // so sample them monotonically (fault-free engines skip the
+        // O(n) walk entirely).
+        if let Some(f) = self.engine.fault_state() {
+            let (mut flipped, mut denied) = (0u64, 0u64);
+            for p in 0..self.engine.n() {
+                flipped += f.flipped_of(p);
+                denied += f.denied_of(p);
+            }
+            self.obs.set_max(MetricId::ProbesFlipped, flipped);
+            self.obs.set_max(MetricId::ProbesDenied, denied);
+        }
+        let epoch = self.board.advance_epoch();
+        let paid: Vec<u64> = (0..self.engine.n())
+            .map(|p| self.engine.probes_of(p))
+            .collect();
+        let liveness = reg.liveness(paid);
+        let live = reg.live_count() as u32;
+        let prev = self.snapshot.load();
+        self.snapshot.store(BoardSnapshot::build_delta(
+            &prev,
+            &data.posts,
+            liveness,
+            live,
+            epoch,
+            tick_no,
+        ));
+
+        // Periodic sealed-state persistence: capture under the registry
+        // lock (the same barrier the snapshot seals at), write
+        // tmp-then-rename off to the side.
+        if let Some(d) = &self.durable {
+            let due = d.snapshot_every > 0
+                && tick_no.saturating_sub(d.last_snapshot.load(Ordering::Relaxed))
+                    >= d.snapshot_every;
+            if due && d.error.lock().is_none() {
+                let state = self.capture_state(&reg, epoch, tick_no);
+                match wal::write_snapshot(&d.dir, &state) {
+                    Ok(()) => {
+                        d.last_snapshot.store(tick_no, Ordering::Relaxed);
+                        self.obs.inc(MetricId::SnapshotsSealed);
+                        self.obs.record(Event::SnapshotWritten { tick: tick_no });
                     }
-                    _ => {}
+                    Err(e) => *d.error.lock() = Some(e.to_string()),
                 }
             }
-            if !posts.is_empty() {
-                // One lock trip per (player, tick) — the hot path's
-                // lock amortization. The same posts also feed the
-                // incremental seal, so keep a copy.
-                self.board.post_batch(posts.clone());
-            }
-            (out, posts)
-        })
+        }
+        epoch
     }
 
     /// Serialize the sealed state for persistence. Called at the seal

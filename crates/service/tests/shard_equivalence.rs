@@ -1,7 +1,7 @@
 //! Sharded-topology equivalence suite — the acceptance gate for
 //! `--shards N`.
 //!
-//! Three contracts, each pinned end-to-end through the public
+//! Four contracts, each pinned end-to-end through the public
 //! [`Serving`] surface and the real worker loop (threads over channel
 //! links, the exact bytes a socket would carry):
 //!
@@ -17,6 +17,9 @@
 //!    re-handshaking with shards recovered from their own WALs resumes
 //!    mid-script and ends byte-identical to the same script with no
 //!    kill.
+//! 4. **Backpressure**: with the same stream and `queue_capacity`, a
+//!    sharded topology refuses (`Busy`) exactly the submits a single
+//!    process refuses — both check `queue.len() >= capacity`.
 
 use std::sync::mpsc::channel;
 use std::sync::Arc;
@@ -116,6 +119,78 @@ fn sharded_runs_byte_match_a_single_process_for_1_to_4_shards() {
             stream, &control_streams[0],
             "control-checksum stream is partition-independent (run {i})"
         );
+    }
+}
+
+/// Overfill `svc` round by round (submit every request of a round,
+/// then tick once) and return every reply in arrival order, the ids
+/// that were answered `Busy`, and the queue length after each round.
+fn overfill(
+    svc: &dyn Serving,
+    rounds: &[Vec<Request>],
+) -> (Vec<(u64, Response)>, Vec<u64>, Vec<usize>) {
+    let (tx, rx) = channel();
+    let mut id = 0u64;
+    let mut queued = Vec::new();
+    for round in rounds {
+        for req in round {
+            svc.submit(id, req.clone(), &tx);
+            id += 1;
+        }
+        queued.push(svc.queue_len());
+        svc.tick();
+    }
+    while svc.queue_len() > 0 {
+        svc.tick();
+    }
+    let replies: Vec<(u64, Response)> = rx.try_iter().collect();
+    let busy = replies
+        .iter()
+        .filter(|(_, r)| matches!(r, Response::Busy { .. }))
+        .map(|&(id, _)| id)
+        .collect();
+    (replies, busy, queued)
+}
+
+#[test]
+fn a_full_queue_rejects_the_same_submits_single_process_and_sharded() {
+    // Capacity 6, batch 4: every round overfills the queue, and each
+    // tick leaves a backlog that the next round's submits count.
+    let inst = planted_community(48, 48, 24, 6, 11);
+    let scfg = ServiceConfig {
+        batch_size: 4,
+        queue_capacity: 6,
+        seed: 3,
+        ..ServiceConfig::default()
+    };
+    let mut rounds = vec![vec![Request::Join; 9]];
+    for r in 0..4u32 {
+        rounds.push(
+            (1..=6u64)
+                .map(|session| Request::Probe {
+                    session,
+                    object: (session as u32 * 7 + r) % 48,
+                    share: true,
+                })
+                .chain([Request::Join, Request::Leave { session: 9 }])
+                .collect(),
+        );
+    }
+    let single = Service::new(inst.truth.clone(), scfg.clone()).expect("valid config");
+    let (want_replies, want_busy, want_queued) = overfill(&single, &rounds);
+    assert!(
+        want_busy.len() >= rounds.len(),
+        "every round overfills the queue: busy {want_busy:?}"
+    );
+    let (services, relay_cfg) = fresh_services(&inst, &scfg, 2);
+    let topo = spawn_local(services, relay_cfg).expect("topology connects");
+    let (replies, busy, queued) = overfill(topo.service.as_ref(), &rounds);
+    assert_eq!(busy, want_busy, "the same submits are refused");
+    assert_eq!(queued, want_queued, "the same backlog after every round");
+    assert_eq!(replies, want_replies, "the same transcript");
+    assert_eq!(topo.service.rejected_total(), single.rejected_total());
+    for result in topo.shutdown() {
+        result.expect("worker exits cleanly");
     }
 }
 

@@ -4,12 +4,11 @@
 //! barrier, seal barrier); `Checksum::of(&digest_parts())` recomputes
 //! it from the rendered state. Pinned here:
 //!
-//! 1. after arbitrary request streams — any batch size, pipelining on
-//!    or off — the incremental value equals the recompute whenever no
-//!    batch is staged;
+//! 1. after arbitrary request streams and any batch size, the
+//!    incremental value equals the recompute after every tick;
 //! 2. after a kill and `Service::recover` (from the log alone or from a
 //!    snapshot plus the log tail) it still does, equals the pre-kill
-//!    value, and keeps tracking an uninterrupted twin afterwards;
+//!    value, and equals an uninterrupted twin's after every tick;
 //! 3. the relay's global per-tick `shardstate` checksum equals the
 //!    single process's `state_checksum()` after every tick, at 1, 2 and
 //!    4 shards;
@@ -69,12 +68,11 @@ fn instance() -> Instance {
     planted_community(N, M, N / 2, 3, 17)
 }
 
-fn config(batch_size: usize, pipeline: bool) -> ServiceConfig {
+fn config(batch_size: usize) -> ServiceConfig {
     ServiceConfig {
         batch_size,
         queue_capacity: 256,
         seed: 5,
-        pipeline,
         ..ServiceConfig::default()
     }
 }
@@ -90,8 +88,7 @@ fn assert_matches_oracle(svc: &Service, when: &str) {
     );
 }
 
-/// Submit one round, tick once, and check the oracle if nothing is
-/// staged (a staged batch has already minted its joins' slots).
+/// Submit one round, tick once, and check the oracle.
 fn play_round(svc: &Service, round: &[Op], next_id: &mut u64, allow_shutdown: bool) {
     let (tx, _rx) = channel();
     for &op in round {
@@ -99,9 +96,7 @@ fn play_round(svc: &Service, round: &[Op], next_id: &mut u64, allow_shutdown: bo
         *next_id += 1;
     }
     let _ = svc.tick();
-    if svc.queue_len() == 0 {
-        assert_matches_oracle(svc, "after a quiescent tick");
-    }
+    assert_matches_oracle(svc, "after a tick");
 }
 
 fn drain(svc: &Service) {
@@ -125,9 +120,8 @@ proptest! {
     fn incremental_checksum_matches_the_recompute(
         rounds in arb_rounds(),
         batch_size in 1usize..9,
-        pipeline in any::<bool>(),
     ) {
-        let svc = Service::new(instance().truth, config(batch_size, pipeline))
+        let svc = Service::new(instance().truth, config(batch_size))
             .expect("valid config");
         assert_matches_oracle(&svc, "fresh service");
         let mut id = 0;
@@ -150,7 +144,7 @@ proptest! {
         case_tag in any::<u64>(),
     ) {
         let inst = instance();
-        let cfg = config(4, true);
+        let cfg = config(4);
         let dir = scratch("recover", case_tag);
         let durability = Durability { dir: dir.clone(), snapshot_every };
         let opts = RecoverOptions { use_snapshot, capture: false };
@@ -178,11 +172,7 @@ proptest! {
             let mut twin_id = id;
             play_round(&svc, round, &mut id, false);
             play_round(&twin, round, &mut twin_id, false);
-            // A durable service stalls staging on snapshot ticks, so
-            // the two agree whenever neither holds a staged batch.
-            if svc.queue_len() == 0 && twin.queue_len() == 0 {
-                prop_assert_eq!(svc.state_checksum(), twin.state_checksum());
-            }
+            prop_assert_eq!(svc.state_checksum(), twin.state_checksum());
         }
         drain(&svc);
         drain(&twin);
@@ -250,7 +240,7 @@ proptest! {
 
     fn relay_global_checksum_equals_the_single_process_every_tick(rounds in arb_rounds()) {
         let inst = instance();
-        let cfg = config(16, true);
+        let cfg = config(16);
         for shards in [1usize, 2, 4] {
             let single = Service::new(inst.truth.clone(), cfg.clone()).expect("valid config");
             let relay_cfg = RelayConfig::for_service(&cfg, shards, N, M);
@@ -316,7 +306,7 @@ impl ShardLink for PostFlipper {
 #[test]
 fn corrupting_one_post_on_one_shard_changes_the_global_checksum_at_that_tick() {
     let inst = instance();
-    let cfg = config(16, true);
+    let cfg = config(16);
     let services = fresh_shards(&inst, &cfg, 2);
     let flipped_at = Arc::new(AtomicU64::new(0));
     let mut links = Vec::new();
